@@ -14,7 +14,6 @@ from .linalg import (
     log_norm,
     save_matrix,
     save_vector,
-    spmv,
     two_norm_estimate,
 )
 from .matfun import PhiPair, expm, phi_columns
@@ -39,7 +38,6 @@ from .solver import (
 )
 from .toeplitz import (
     MatrixPolynomial,
-    apply_scaling,
     assemble_lm,
     heuristic_gamma,
     structured_matvec,
@@ -56,7 +54,6 @@ __all__ = [
     "MatrixPolynomial",
     "ParameterizedSolution",
     "PhiPair",
-    "apply_scaling",
     "apriori_bounds",
     "assemble_lm",
     "build",
@@ -79,7 +76,6 @@ __all__ = [
     "save_matrix",
     "save_vector",
     "solve_adaptive",
-    "spmv",
     "structured_matvec",
     "textbook_arnoldi",
     "two_norm_estimate",

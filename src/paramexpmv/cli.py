@@ -15,7 +15,6 @@ import numpy as np
 from . import problems, solver
 from .linalg import save_vector
 from .reference import dense_cap, dense_solution
-from .toeplitz import heuristic_gamma
 
 EXIT_OK = 0
 EXIT_USAGE = 2

@@ -125,8 +125,6 @@ def generate(name: str, parameters: dict) -> tuple[MatrixPolynomial, np.ndarray]
     if missing:
         raise ValueError(f"problem '{name}' requires parameters {missing}")
     args = [parameters[arg] for arg in arg_names]
-    if name == "wave":
-        return fn(int(args[0]), float(args[1]))
     return fn(int(args[0]), *map(float, args[1:]))
 
 

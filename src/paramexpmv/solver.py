@@ -14,11 +14,11 @@ from typing import Sequence
 import numpy as np
 
 from .arnoldi import InfiniteArnoldi, KrylovDecomposition, run_arnoldi
-from .linalg import log_norm, two_norm_estimate
+from .linalg import log_norm_bound, norm_bound
 from .matfun import expm, phi_columns
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
-#: Norm/log-norm accuracy used when deriving bound inputs at build time.
+#: Lanczos accuracy for two_norm_estimate/log_norm; read only by benchmarks/layers.py.
 BOUND_INPUT_TOL = 1e-6
 
 #: Arnoldi steps between estimate evaluations in the adaptive loop.
@@ -27,10 +27,12 @@ DEFAULT_CHECK_INTERVAL = 5
 
 @dataclass(frozen=True)
 class BoundInputs:
-    """Norm data entering the a priori bounds.
+    """Norm data entering the a priori bounds; every field is an upper bound.
 
     alpha = sum of all coefficient norms, mu0 the logarithmic norm of the
     constant term, beta = mu0 plus the tail norms, a the largest tail norm.
+    ``from_polynomial`` uses the O(nnz) bounds of ``linalg``; tighter values
+    can be passed to the constructor.
     """
 
     alpha: float
@@ -39,9 +41,9 @@ class BoundInputs:
     a: float
 
     @classmethod
-    def from_polynomial(cls, P: MatrixPolynomial, tol: float = BOUND_INPUT_TOL) -> "BoundInputs":
-        norms = [two_norm_estimate(C, tol) for C in P.coeffs]
-        mu0 = log_norm(P.coeffs[0], tol)
+    def from_polynomial(cls, P: MatrixPolynomial) -> "BoundInputs":
+        norms = [norm_bound(C) for C in P.coeffs]
+        mu0 = log_norm_bound(P.coeffs[0])
         tail = norms[1:]
         return cls(
             alpha=float(sum(norms)),
@@ -183,7 +185,11 @@ class ParameterizedSolution:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         C = self._scaled_coefficients(t)[:k]
         if self.gamma != 1.0:
-            C = C * (self.gamma ** np.arange(k, dtype=float))[:, None]
+            # m finite factors: gamma**l alone overflows where scaled rows underflow
+            m = max(1, math.ceil((k - 1) * abs(math.log10(self.gamma)) / 300))
+            root = (self.gamma ** (np.arange(k) / m))[:, None]
+            for _ in range(m):
+                C = C * root
         return C
 
     def evaluate(self, t: float, eps, k: int | None = None) -> np.ndarray:

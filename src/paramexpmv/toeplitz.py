@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_csr, two_norm_estimate
+from .linalg import as_csr, norm_bound
 
 #: Default cap on m*n for explicit operator assembly (oracle-only usage).
 ASSEMBLY_CAP = 200_000
@@ -100,16 +100,7 @@ def structured_matvec(P: MatrixPolynomial, x: np.ndarray) -> np.ndarray:
     return Y.ravel()
 
 
-def heuristic_gamma(P: MatrixPolynomial, tol: float = 1e-6) -> float:
+def heuristic_gamma(P: MatrixPolynomial) -> float:
     """Balancing parameter max_l ||A_l||^(1/l) over l >= 1 (1 if that set is empty/zero)."""
-    if P.degree < 1:
-        return 1.0
-    norms = [two_norm_estimate(C, tol) for C in P.coeffs[1:]]
-    if all(s == 0.0 for s in norms):
-        return 1.0
-    return max(s ** (1.0 / l) for l, s in enumerate(norms, start=1) if s > 0.0)
-
-
-def apply_scaling(P: MatrixPolynomial, gamma: float) -> MatrixPolynomial:
-    """Functional alias for :meth:`MatrixPolynomial.scaled`."""
-    return P.scaled(gamma)
+    roots = [norm_bound(C) ** (1.0 / l) for l, C in enumerate(P.coeffs[1:], start=1)]
+    return max(roots, default=0.0) or 1.0

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paramexpmv.linalg import (
+    DENSE_CUTOFF,
     as_csr,
     from_coo,
     load_matrix,
     load_vector,
     log_norm,
+    log_norm_bound,
+    norm_bound,
     save_matrix,
     save_vector,
-    spmv,
     two_norm_estimate,
 )
 
@@ -34,17 +38,49 @@ def test_from_coo():
     np.testing.assert_allclose(M.toarray(), [[0.0, 2.0], [-1.0, 0.0]])
 
 
-def test_spmv_matches_dense():
-    rng = np.random.default_rng(1)
-    A = rng.standard_normal((7, 7))
-    x = rng.standard_normal(7)
-    np.testing.assert_allclose(spmv(as_csr(A), x), A @ x, rtol=1e-13)
+@st.composite
+def sparse_square(draw):
+    """Random sparse square matrix, real or complex, up to n = 100 > DENSE_CUTOFF."""
+    n = draw(st.integers(1, 100))
+    density = draw(st.floats(0.0, 0.3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    A = sp.random_array((n, n), density=density, rng=rng, data_sampler=rng.standard_normal)
+    if draw(st.booleans()):
+        B = sp.random_array((n, n), density=density, rng=rng, data_sampler=rng.standard_normal)
+        A = A + 1j * B
+    return as_csr(A * scale)
 
 
-def test_spmv_dimension_mismatch():
-    A = as_csr(np.eye(3))
-    with pytest.raises(ValueError):
-        spmv(A, np.ones(4))
+@settings(max_examples=60, deadline=None)
+@given(sparse_square())
+def test_norm_bounds_dominate_dense_values(A):
+    # Only rounding slack: both are upper bounds, never estimates from below.
+    D = A.toarray()
+    sigma = np.linalg.norm(D, 2)
+    assert norm_bound(A) >= sigma * (1 - 1e-12)
+    lam = np.linalg.eigvalsh((D + D.conj().T) / 2)[-1]
+    assert log_norm_bound(A) >= lam - 1e-12 * max(abs(lam), sigma)
+
+
+def test_norm_bounds_of_zero_matrix():
+    for n in (5, DENSE_CUTOFF + 1):
+        Z = sp.csr_array((n, n))
+        assert norm_bound(Z) == 0.0
+        assert log_norm_bound(Z) == 0.0
+
+
+def test_norm_bounds_exact_on_diffusion_stencil():
+    # tridiag(1, -2, 1): row sums give ||A||_1 = ||A||_inf = 4 and Gershgorin 0
+    n = 80
+    A = from_coo(
+        np.r_[np.arange(n), np.arange(n - 1), np.arange(1, n)],
+        np.r_[np.arange(n), np.arange(1, n), np.arange(n - 1)],
+        np.r_[-2.0 * np.ones(n), np.ones(n - 1), np.ones(n - 1)],
+        (n, n),
+    )
+    assert norm_bound(A) == 4.0
+    assert log_norm_bound(A) == 0.0
 
 
 @pytest.mark.parametrize("n", [3, 40, 200])

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+import paramexpmv.linalg
+from paramexpmv.cli import main
+from paramexpmv.problems import gen_advdiff1
 from paramexpmv.reference import dense_coefficients, dense_solution
 from paramexpmv.solver import (
     BoundInputs,
@@ -36,6 +39,36 @@ def test_scalar_shift_coefficients():
         C = S.coefficients(t, 10)
         for ell in range(10):
             assert C[ell, 0] == pytest.approx(t**ell / math.factorial(ell), abs=1e-12)
+
+
+@pytest.mark.parametrize("t, p", [(0.5, 110), (0.01, 200)])
+def test_coefficients_finite_when_gamma_power_overflows(t, p):
+    # gamma = 1e4: gamma**l overflows from l = 78 on, while the scaled rows
+    # t^l/l! keep shrinking (at t = 0.01 to exactly 0, and gamma**(l/2)
+    # overflows too); the unscaled coefficients stay finite.
+    P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
+    S = build(P, np.ones(1), p)
+    C = S.coefficients(t)
+    assert S.gamma == 1e4 and C.shape == (p, 1)
+    assert np.all(np.isfinite(C))
+    # Only the scaled rows are accurate in the absolute sense, so map back.
+    root = S.gamma ** (np.arange(p) / 4)
+    scaled = C[:, 0] / root / root / root / root
+    exact = [math.exp(ell * math.log(t) - math.lgamma(ell + 1)) for ell in range(p)]
+    np.testing.assert_allclose(scaled, exact, rtol=0, atol=1e-12)
+
+
+def test_build_and_solve_never_call_arpack(monkeypatch, capsys):
+    # n = 200 is above DENSE_CUTOFF, where the Lanczos estimators use eigsh.
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("eigsh called")
+
+    monkeypatch.setattr(paramexpmv.linalg, "eigsh", no_arpack)
+    P, u0 = gen_advdiff1(200, 3e-4)
+    build(P, u0, 10)
+    solve_adaptive(P, u0, [(0.5, 1.5e-2)], tol=1e-6, p_max=30)
+    assert main(["solve", "--problem", "advdiff1", "--n", "200", "--a", "3e-4",
+                 "--t", "0.5", "--eps", "1.5e-2", "--p", "10"]) == 0
 
 
 def test_scalar_shift_evaluation_is_exponential():

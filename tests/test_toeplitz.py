@@ -4,7 +4,6 @@ import pytest
 from paramexpmv.linalg import as_csr
 from paramexpmv.toeplitz import (
     MatrixPolynomial,
-    apply_scaling,
     assemble_lm,
     heuristic_gamma,
     structured_matvec,
@@ -107,7 +106,7 @@ def test_scaled_polynomial_equivalence():
     rng = np.random.default_rng(8)
     P = random_poly(rng, 4, 2)
     gamma = 2.5
-    Q = apply_scaling(P, gamma)
+    Q = P.scaled(gamma)
     eps = 0.3
     # A(eps) is invariant: sum gamma^-l A_l (gamma eps)^l = sum A_l eps^l
     np.testing.assert_allclose(Q(gamma * eps).toarray(), P(eps).toarray(), rtol=1e-12)
