@@ -7,7 +7,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .arnoldi import BREAKDOWN_TOL, KrylovDecomposition
+from .arnoldi import BREAKDOWN_TOL, KrylovDecomposition, StaircaseBasis
 from .matfun import expm
 from .toeplitz import MatrixPolynomial, assemble_lm
 
@@ -96,13 +96,14 @@ def textbook_arnoldi(B, v0, p: int) -> KrylovDecomposition:
         H[ell, ell - 1] = alpha
         Q[:, ell] = y / alpha
 
-    cols = done if breakdown else done + 1
+    # degree 0: every column keeps all n entries
+    basis = StaircaseBasis(n, 0, dtype)
+    for j in range(done if breakdown else done + 1):
+        basis.append(Q[:, j])
     return KrylovDecomposition(
-        Q=Q[:, :cols],
+        staircase=basis,
         H=H[:done + 1, :done],
         beta=beta,
-        block_size=n,
-        degree=0,
         p=done,
         breakdown=breakdown,
     )

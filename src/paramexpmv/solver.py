@@ -173,7 +173,7 @@ class ParameterizedSolution:
             return cached
         K = self.decomposition
         w = expm(t * K.hessenberg)[:, 0] * K.beta
-        C = (K.basis() @ w).reshape(-1, self.n)[:self.k_max]
+        C = K.combine(w).reshape(-1, self.n)[:self.k_max]
         if len(self._coeff_cache) < 256:
             self._coeff_cache[t] = C
         return C

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from paramexpmv.arnoldi import BREAKDOWN_TOL, InfiniteArnoldi, run_arnoldi
+from paramexpmv.arnoldi import BREAKDOWN_TOL, CHUNK, InfiniteArnoldi, run_arnoldi
 from paramexpmv.reference import textbook_arnoldi
 from paramexpmv.toeplitz import MatrixPolynomial, assemble_lm
 
@@ -160,3 +162,56 @@ def test_complex_coefficients_supported():
     d = run_arnoldi(P, u0, 5)
     Q = d.basis()
     np.testing.assert_allclose(Q.T.conj() @ Q, np.eye(5), atol=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 4), N=st.integers(1, 3), p=st.integers(1, 3 * CHUNK),
+       complex_coeffs=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
+    # p reaches past two chunk boundaries of the basis storage
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, n)) for _ in range(N + 1)]
+    if complex_coeffs:
+        mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
+    P = MatrixPolynomial([0.5 * A for A in mats])
+    d = run_arnoldi(P, rng.standard_normal(n), p)
+    Q = d.Q
+    assert Q.shape[1] == d.ncols
+    L = assemble_lm(P, 1 + N * d.p).toarray()
+    Qfull = np.zeros((L.shape[0], Q.shape[1]), dtype=Q.dtype)
+    Qfull[:Q.shape[0]] = Q
+    np.testing.assert_allclose(L @ Qfull[:, :d.p], Qfull @ d.H[:Q.shape[1]], atol=1e-12)
+    np.testing.assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    w = rng.standard_normal(d.p)
+    np.testing.assert_allclose(d.combine(w), d.basis() @ w, rtol=0, atol=1e-12)
+
+
+def test_snapshot_unchanged_by_later_steps():
+    rng = np.random.default_rng(10)
+    P = random_poly(rng, 3, 2)
+    it = InfiniteArnoldi(P, rng.standard_normal(3))
+    it.run(CHUNK - 1)
+    d = it.decomposition()
+    basis, H, r = d.basis().copy(), d.H.copy(), d.residual_vector.copy()
+    it.run(2 * CHUNK + 1)
+    assert it.p == 3 * CHUNK
+    np.testing.assert_array_equal(d.basis(), basis)
+    np.testing.assert_array_equal(d.H, H)
+    np.testing.assert_array_equal(d.residual_vector, r)
+
+
+def test_basis_storage_near_staircase_floor():
+    rng = np.random.default_rng(11)
+    n, N, p = 50, 1, 100
+    d = run_arnoldi(random_poly(rng, n, N), rng.standard_normal(n), p)
+    floor = sum(n * (1 + j * N) for j in range(p + 1)) * d.Q.dtype.itemsize
+    assert d.staircase.nbytes <= 1.5 * floor
+
+
+def test_overflowing_matvec_raises():
+    # ||L q_1|| overflows to inf; it used to pass as a lucky breakdown
+    P = MatrixPolynomial([np.array([[1e308]]), np.array([[1e308]])])
+    it = InfiniteArnoldi(P, np.ones(1))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 1"):
+        it.step()
+    assert it.p == 0 and not it.breakdown

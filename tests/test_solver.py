@@ -279,3 +279,11 @@ def test_gamma_override():
     assert S.gamma == 2.0
     ref = dense_solution(P, u0, 0.8, 0.2)
     np.testing.assert_allclose(S.evaluate(0.8, 0.2), ref, atol=1e-9)
+
+
+def test_build_rejects_nan_coefficients():
+    A0 = np.eye(3)
+    A0[1, 2] = np.nan
+    P = MatrixPolynomial([A0, np.eye(3)])
+    with pytest.raises(FloatingPointError, match="step 1"):
+        build(P, np.ones(3), 4, use_scaling=False)
