@@ -63,10 +63,12 @@ class StaircaseBasis:
         self._count = j + 1
 
     def column(self, j: int) -> np.ndarray:
-        """Contiguous view of the nonzero prefix of column j."""
+        """Contiguous read-only view of the nonzero prefix of column j."""
         if not 0 <= j < self._count:
             raise IndexError(f"column {j} out of range for {self._count} columns")
-        return self._chunks[j // CHUNK][:self.length(j), j % CHUNK]
+        v = self._chunks[j // CHUNK][:self.length(j), j % CHUNK]
+        v.flags.writeable = False
+        return v
 
     def _blocks(self, m: int):
         """(first column, block) pairs covering columns 0..m-1, each block cut
@@ -147,7 +149,7 @@ class KrylovDecomposition:
 
     @property
     def residual_vector(self):
-        """Nonzero prefix of the basis vector q_{p+1}, or None on breakdown."""
+        """Read-only nonzero prefix of the basis vector q_{p+1}, or None on breakdown."""
         return None if self.breakdown else self.staircase.column(self.p)
 
     def basis(self) -> np.ndarray:

@@ -56,11 +56,17 @@ def _load_problem(args):
             raise InputError(f"cannot load manifest: {exc}") from exc
     if not args.problem:
         raise InputError("either --problem or --manifest is required")
+    P, u0, _ = _generate(args)
+    return P, u0
+
+
+def _generate(args):
+    """(P, u0, params) of the built-in problem the arguments name."""
     params = {"n": args.n, "a": args.a, "b": args.b,
               "points": args.points, "gamma1": args.gamma1}
     params = {k: v for k, v in params.items() if v is not None}
     try:
-        return problems.generate(args.problem, params)
+        return (*problems.generate(args.problem, params), params)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
@@ -209,13 +215,7 @@ def cmd_generate(args) -> int:
         raise InputError("--problem is required")
     if not args.out:
         raise InputError("--out is required")
-    params = {"n": args.n, "a": args.a, "b": args.b,
-              "points": args.points, "gamma1": args.gamma1}
-    params = {k: v for k, v in params.items() if v is not None}
-    try:
-        P, u0 = problems.generate(args.problem, params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    P, u0, params = _generate(args)
     try:
         manifest = problems.write_problem(args.out, args.problem, P, u0, params)
     except OSError as exc:
@@ -238,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--eps", help="comma-separated parameter values (a+bi for complex)")
     ps.add_argument("--tol", type=float, help="adaptive tolerance")
     ps.add_argument("--p", type=int, help="fixed iteration count")
-    ps.add_argument("--p-max", type=int, default=200, help="iteration cap")
-    ps.add_argument("--check-interval", type=int, default=5,
+    ps.add_argument("--p-max", type=int, default=solver.DEFAULT_P_MAX, help="iteration cap")
+    ps.add_argument("--check-interval", type=int, default=solver.DEFAULT_CHECK_INTERVAL,
                     help="steps between estimate checks")
     ps.add_argument("--out", help="CSV output path (default stdout)")
     ps.add_argument("--save-solutions", help="directory for solution vectors")

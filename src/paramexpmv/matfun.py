@@ -1,4 +1,4 @@
-"""Dense matrix exponential and the first two phi functions.
+"""Dense matrix exponential and the exp/phi_1 columns of a projected matrix.
 
 Intended for small projected Hessenberg matrices and desk-scale dense
 reference computations, not for large operators.
@@ -6,17 +6,8 @@ reference computations, not for large operators.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 import scipy.linalg
-
-
-class PhiPair(NamedTuple):
-    """First columns of phi_1 and phi_2 of a scaled Hessenberg matrix."""
-
-    phi1_col: np.ndarray
-    phi2_col: np.ndarray
 
 
 def expm(A) -> np.ndarray:
@@ -29,23 +20,19 @@ def expm(A) -> np.ndarray:
     return scipy.linalg.expm(A)
 
 
-def phi_columns(H, t: float) -> PhiPair:
-    """Return phi_1(tH)e_1 and phi_2(tH)e_1 via one augmented exponential.
+def phi_columns(H, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Return exp(tH)e_1 and phi_1(tH)e_1 from one augmented exponential.
 
-    The (p+2)-dimensional block matrix [[tH, e1, e1], [0, 0, 0], [0, 1, 0]]
-    is exponentiated once; its last column gives phi_1(tH)e_1 and the
-    second-to-last column phi_1(tH)e_1 + phi_2(tH)e_1.
+    exp([[tH, e_1], [0, 0]]) = [[exp(tH), phi_1(tH)e_1], [0, 1]], so the
+    (p+1)-dimensional exponential gives the first vector in its first
+    column and the second in its last.
     """
     H = np.asarray(H)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     p = H.shape[0]
-    W = np.zeros((p + 2, p + 2), dtype=np.result_type(H.dtype, float, type(t)))
+    W = np.zeros((p + 1, p + 1), dtype=np.result_type(H.dtype, float, type(t)))
     W[:p, :p] = t * H
     W[0, p] = 1.0
-    W[0, p + 1] = 1.0
-    W[p + 1, p] = 1.0
     E = expm(W)
-    phi1 = E[:p, p + 1].copy()
-    phi2 = E[:p, p] - phi1
-    return PhiPair(phi1, phi2)
+    return E[:p, 0], E[:p, p]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arnoldi import InfiniteArnoldi, KrylovDecomposition, run_arnoldi
 from .linalg import log_norm_bound, norm_bound
-from .matfun import expm, phi_columns
+from .matfun import phi_columns
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
 #: Lanczos accuracy for two_norm_estimate/log_norm; read only by benchmarks/layers.py.
@@ -23,6 +23,12 @@ BOUND_INPUT_TOL = 1e-6
 
 #: Arnoldi steps between estimate evaluations in the adaptive loop.
 DEFAULT_CHECK_INTERVAL = 5
+
+#: Iteration cap of the adaptive loop.
+DEFAULT_P_MAX = 200
+
+#: Per-t records a solution keeps; further t values are recomputed on each call.
+MAX_CACHED_TIMES = 256
 
 
 @dataclass(frozen=True)
@@ -138,11 +144,22 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     return krylov, truncation, total
 
 
+@dataclass
+class _AtTime:
+    """What a solution knows at one t, as read-only arrays: w = beta exp(tH_p)e_1,
+    s1 = e_p^T phi_1(tH_p)e_1, and the k_max scaled coefficient rows once asked for."""
+
+    w: np.ndarray
+    s1: complex
+    rows: np.ndarray | None = None
+
+
 class ParameterizedSolution:
     """Evaluates approximate solutions and expansion coefficients at any (t, eps).
 
     Immutable after construction; evaluation touches only the small projected
-    Hessenberg matrix and the stored basis.
+    Hessenberg matrix and the stored basis. Everything that depends on t alone
+    comes from one (p+1)-sized exponential per t, kept for later calls.
     """
 
     def __init__(self, decomposition: KrylovDecomposition, poly: MatrixPolynomial,
@@ -157,7 +174,7 @@ class ParameterizedSolution:
         self.u0_norm = decomposition.beta
         self.p = decomposition.p
         self.k_max = 1 + self.degree * (self.p - 1)
-        self._coeff_cache: dict[float, np.ndarray] = {}
+        self._at_time: dict[float, _AtTime] = {}
 
     def with_p(self, p: int) -> "ParameterizedSolution":
         """View of the solution as if only p Arnoldi steps had been run."""
@@ -166,23 +183,35 @@ class ParameterizedSolution:
             self.gamma, self.bounds,
         )
 
+    def _at(self, t: float) -> _AtTime:
+        rec = self._at_time.get(t)
+        if rec is None:
+            K = self.decomposition
+            e1, phi1 = phi_columns(K.hessenberg, t)
+            rec = _AtTime(e1 * K.beta, phi1[-1])
+            rec.w.flags.writeable = False
+            if len(self._at_time) < MAX_CACHED_TIMES:
+                self._at_time[t] = rec
+        return rec
+
     def _scaled_coefficients(self, t: float) -> np.ndarray:
         """All k_max coefficient blocks of the scaled problem, shape (k_max, n)."""
-        cached = self._coeff_cache.get(t)
-        if cached is not None:
-            return cached
-        K = self.decomposition
-        w = expm(t * K.hessenberg)[:, 0] * K.beta
-        C = K.combine(w).reshape(-1, self.n)[:self.k_max]
-        if len(self._coeff_cache) < 256:
-            self._coeff_cache[t] = C
-        return C
+        rec = self._at(t)
+        if rec.rows is None:
+            rows = self.decomposition.combine(rec.w).reshape(-1, self.n)[:self.k_max]
+            rows.flags.writeable = False
+            rec.rows = rows
+        return rec.rows
 
-    def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
-        """First k expansion coefficients at time t, shape (k, n)."""
+    def _check_k(self, k: int | None) -> int:
         k = self.k_max if k is None else k
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
+        return k
+
+    def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
+        """First k expansion coefficients at time t, shape (k, n)."""
+        k = self._check_k(k)
         C = self._scaled_coefficients(t)[:k]
         if self.gamma != 1.0:
             # m finite factors: gamma**l alone overflows where scaled rows underflow
@@ -194,9 +223,7 @@ class ParameterizedSolution:
 
     def evaluate(self, t: float, eps, k: int | None = None) -> np.ndarray:
         """Approximate solution at (t, eps) from the first k coefficients."""
-        k = self.k_max if k is None else k
-        if not 1 <= k <= self.k_max:
-            raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
+        k = self._check_k(k)
         return _horner(self._scaled_coefficients(t)[:k], self.gamma * eps)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
@@ -218,7 +245,7 @@ class ParameterizedSolution:
         K = self.decomposition
         if K.breakdown:
             return 0.0
-        s1 = phi_columns(K.hessenberg, t).phi1_col[K.p - 1]
+        s1 = self._at(t).s1
         v = _horner(K.residual_vector.reshape(-1, self.n), self.gamma * eps)
         return float(abs(t * K.beta * K.residual_norm * s1) * np.linalg.norm(v))
 
@@ -283,7 +310,7 @@ class AdaptiveResult:
 
 
 def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, complex]],
-                   tol: float, p_max: int = 200, use_scaling: bool = True,
+                   tol: float, p_max: int = DEFAULT_P_MAX, use_scaling: bool = True,
                    gamma: float | None = None,
                    check_interval: int = DEFAULT_CHECK_INTERVAL) -> AdaptiveResult:
     """Iterate until the error estimate at every target drops below tol.

@@ -40,25 +40,24 @@ def test_expm_rejects_nonfinite():
 def test_phi_columns_against_series(t):
     rng = np.random.default_rng(3)
     H = np.triu(rng.standard_normal((6, 6)), -1) * 0.7
-    cols = phi_columns(H, t)
-    ref1 = _phi_series(t * H, 1)
-    ref2 = _phi_series(t * H, 2)
-    np.testing.assert_allclose(cols.phi1_col, ref1, rtol=1e-10, atol=1e-13)
-    np.testing.assert_allclose(cols.phi2_col, ref2, rtol=1e-10, atol=1e-13)
+    exp_col, phi1_col = phi_columns(H, t)
+    np.testing.assert_allclose(exp_col, scipy.linalg.expm(t * H)[:, 0], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(exp_col, _phi_series(t * H, 0), rtol=1e-10, atol=1e-13)
+    np.testing.assert_allclose(phi1_col, _phi_series(t * H, 1), rtol=1e-10, atol=1e-13)
 
 
 def test_phi_columns_scalar_identities():
-    # phi1(z) = (e^z - 1)/z and phi2(z) = (e^z - 1 - z)/z^2
-    z = 0.83
-    cols = phi_columns(np.array([[z]]), 1.0)
-    assert cols.phi1_col[0] == pytest.approx((np.exp(z) - 1) / z, rel=1e-12)
-    assert cols.phi2_col[0] == pytest.approx((np.exp(z) - 1 - z) / z**2, rel=1e-12)
+    # exp(tz) and phi1(tz) = (e^{tz} - 1)/(tz)
+    z, t = 0.83, 1.7
+    exp_col, phi1_col = phi_columns(np.array([[z]]), t)
+    assert exp_col[0] == pytest.approx(np.exp(t * z), rel=1e-12)
+    assert phi1_col[0] == pytest.approx((np.exp(t * z) - 1) / (t * z), rel=1e-12)
 
 
 def test_phi_columns_complex():
     rng = np.random.default_rng(4)
     H = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     H = np.triu(H, -1) * 0.5
-    cols = phi_columns(H, 0.9)
-    ref1 = _phi_series(0.9 * H, 1)
-    np.testing.assert_allclose(cols.phi1_col, ref1, rtol=1e-10, atol=1e-13)
+    exp_col, phi1_col = phi_columns(H, 0.9)
+    np.testing.assert_allclose(exp_col, scipy.linalg.expm(0.9 * H)[:, 0], rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(phi1_col, _phi_series(0.9 * H, 1), rtol=1e-10, atol=1e-13)

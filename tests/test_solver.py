@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import paramexpmv.linalg
+import paramexpmv.matfun
 from paramexpmv.cli import main
 from paramexpmv.problems import gen_advdiff1
 from paramexpmv.reference import dense_coefficients, dense_solution
@@ -98,6 +101,56 @@ def test_coefficients_match_dense_oracle():
     k = 9
     ref = dense_coefficients(P, u0, t, k)
     np.testing.assert_allclose(S.coefficients(t, k), ref, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), N=st.integers(1, 3), complex_coeffs=st.booleans(),
+       use_scaling=st.booleans(), t=st.floats(0.1, 1.0),
+       eps=st.complex_numbers(max_magnitude=0.5), seed=st.integers(0, 2**32 - 1))
+def test_solution_and_coefficients_match_dense_oracles(n, N, complex_coeffs, use_scaling,
+                                                       t, eps, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, n)) for _ in range(N + 1)]
+    if complex_coeffs:
+        mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
+    P = MatrixPolynomial([0.5 * A for A in mats])
+    u0 = rng.standard_normal(n)
+    S = build(P, u0, 30, use_scaling=use_scaling)
+    tol = 1e-10 * np.linalg.norm(u0)
+    np.testing.assert_allclose(S.evaluate(t, eps), dense_solution(P, u0, t, eps),
+                               rtol=1e-10, atol=tol)
+    np.testing.assert_allclose(S.coefficients(t, 8), dense_coefficients(P, u0, t, 8),
+                               rtol=1e-10, atol=tol)
+
+
+def test_cached_arrays_are_read_only():
+    # without scaling coefficients(t) is a view of the rows evaluate reads
+    P, u0 = gen_advdiff1(50, 3e-4)
+    S = build(P, u0, 10, use_scaling=False)
+    before = S.evaluate(0.5, 1e-2)
+    C = S.coefficients(0.5)
+    with pytest.raises(ValueError):
+        C[:] = 0.0
+    np.testing.assert_array_equal(S.evaluate(0.5, 1e-2), before)
+    r = S.decomposition.residual_vector
+    with pytest.raises(ValueError):
+        r[:] = 0.0
+
+
+def test_one_small_exponential_per_t(monkeypatch):
+    calls = []
+    expm = paramexpmv.matfun.expm
+    monkeypatch.setattr(paramexpmv.matfun, "expm", lambda A: calls.append(A.shape) or expm(A))
+    rng = np.random.default_rng(12)
+    S = build(random_poly(rng, 4, 2, scale=0.4), rng.standard_normal(4), 12)
+    for eps in np.linspace(0.0, 0.3, 10):
+        S.error_report(0.5, eps)
+    S.evaluate(0.5, 0.1)
+    S.coefficients(0.5, 3)
+    assert calls == [(13, 13)]
+    S.error_report(0.7, 0.1)
+    S.with_p(S.p).evaluate(0.5, 0.1)
+    assert len(calls) == 3
 
 
 def test_complex_eps_evaluation():
