@@ -185,7 +185,7 @@ class InfiniteArnoldi:
     snapshots that remain valid as iteration continues.
     """
 
-    def __init__(self, poly: MatrixPolynomial, u0, breakdown_tol: float = BREAKDOWN_TOL):
+    def __init__(self, poly: MatrixPolynomial, u0):
         u0 = np.asarray(u0).ravel()
         if u0.size != poly.dim:
             raise ValueError(
@@ -198,7 +198,6 @@ class InfiniteArnoldi:
             raise ValueError("start vector must be nonzero")
         self.poly = poly
         self.beta = beta
-        self.breakdown_tol = breakdown_tol
         self.p = 0
         self.breakdown = False
         self._dtype = np.result_type(poly.dtype, u0.dtype)
@@ -241,7 +240,7 @@ class InfiniteArnoldi:
         alpha = float(np.linalg.norm(y))
         self._H[:ell, ell - 1] = h
         self.p = ell
-        if alpha <= self.breakdown_tol * norm_y:
+        if alpha <= BREAKDOWN_TOL * norm_y:
             self._H[ell, ell - 1] = 0.0
             self.breakdown = True
             return False

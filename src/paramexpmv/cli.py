@@ -1,8 +1,10 @@
 """Command-line driver: solve, convergence studies, and problem generation.
 
 Emits deterministic CSV (17 significant digits) plus gnuplot-ready scripts
-for convergence studies. Exit codes: 0 success, 2 usage/input error,
-3 tolerance unreached.
+for convergence studies. `--gamma` sets the scaling parameter (default the
+heuristic; `--gamma 1` runs unscaled). Convergence studies measure the true
+error against `scipy.sparse.linalg.expm_multiply`. Exit codes: 0 success,
+2 usage/input error (also non-finite problem data), 3 tolerance unreached.
 """
 
 from __future__ import annotations
@@ -11,10 +13,10 @@ import argparse
 import sys
 
 import numpy as np
+from scipy.sparse.linalg import expm_multiply
 
 from . import problems, solver
 from .linalg import save_vector
-from .reference import dense_cap, dense_solution
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -45,6 +47,13 @@ def _parse_list(text: str) -> list:
     values = [_parse_scalar(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise InputError("empty value list")
+    return values
+
+
+def _parse_reals(text: str, option: str) -> list[float]:
+    values = _parse_list(text)
+    if any(isinstance(v, complex) for v in values):
+        raise InputError(f"{option} takes real values, got '{text}'")
     return values
 
 
@@ -82,12 +91,6 @@ def _add_problem_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--gamma1", type=float, help="fixed damping parameter (wave)")
 
 
-def _add_scaling_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--gamma", help="override scaling parameter(s), comma separated")
-    p.add_argument("--no-scaling", action="store_true",
-                   help="disable coefficient scaling")
-
-
 def _write_lines(path, lines) -> None:
     text = "\n".join(lines) + "\n"
     if path is None:
@@ -101,21 +104,21 @@ def cmd_solve(args) -> int:
     P, u0 = _load_problem(args)
     if args.t is None:
         raise InputError("--t is required")
-    ts = [float(v.real) if isinstance(v, complex) else v for v in _parse_list(args.t)]
+    ts = _parse_reals(args.t, "--t")
     epss = _parse_list(args.eps) if args.eps else [0.0]
     targets = [(t, e) for t in ts for e in epss]
-    gamma = float(_parse_list(args.gamma)[0].real) if args.gamma else None
-    use_scaling = not args.no_scaling
+    gammas = _parse_reals(args.gamma, "--gamma") if args.gamma else [None]
+    if len(gammas) != 1:
+        raise InputError("solve takes exactly one --gamma value")
+    gamma = gammas[0]
 
     if args.tol is not None:
-        result = solver.solve_adaptive(
-            P, u0, targets, tol=args.tol, p_max=args.p_max,
-            use_scaling=use_scaling, gamma=gamma,
-            check_interval=args.check_interval)
+        result = solver.solve_adaptive(P, u0, targets, tol=args.tol,
+                                       p_max=args.p_max, gamma=gamma)
         S, reports = result.solution, result.reports
         converged = result.converged
     elif args.p is not None:
-        S = solver.build(P, u0, args.p, use_scaling=use_scaling, gamma=gamma)
+        S = solver.build(P, u0, args.p, gamma=gamma)
         reports = [S.error_report(t, e) for t, e in targets]
         converged = True
     else:
@@ -142,16 +145,12 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _convergence_rows(P, u0, t, epss, p_max, gamma, use_scaling, self_reference):
-    S_ref = solver.build(P, u0, p_max + 10, use_scaling=use_scaling, gamma=gamma)
-    if self_reference or P.dim > dense_cap():
-        refs = {e: S_ref.evaluate(t, e) for e in epss}
-    else:
-        refs = {e: dense_solution(P, u0, t, e) for e in epss}
-
+def _convergence_rows(P, u0, t, epss, p_max, gamma, refs):
+    S_max = solver.build(P, u0, p_max, gamma=gamma)
     rows = []
-    for p in range(1, p_max + 1):
-        S = S_ref.with_p(p)
+    # after a breakdown at S_max.p < p_max the decomposition is exact
+    for p in range(1, S_max.p + 1):
+        S = S_max.with_p(p)
         for e in epss:
             err = float(np.linalg.norm(S.evaluate(t, e) - refs[e]))
             r = S.error_report(t, e)
@@ -163,20 +162,18 @@ def cmd_convergence(args) -> int:
     P, u0 = _load_problem(args)
     if args.t is None:
         raise InputError("--t is required")
-    ts = _parse_list(args.t)
+    ts = _parse_reals(args.t, "--t")
     if len(ts) != 1:
         raise InputError("convergence studies take exactly one --t value")
-    t = float(ts[0].real) if isinstance(ts[0], complex) else ts[0]
+    t = ts[0]
     epss = _parse_list(args.eps) if args.eps else [0.0]
-    use_scaling = not args.no_scaling
-    gammas = ([float(v.real) for v in _parse_list(args.gamma)]
-              if args.gamma else [None])
+    gammas = _parse_reals(args.gamma, "--gamma") if args.gamma else [None]
+    refs = {e: expm_multiply(t * P(e), u0) for e in epss}
 
     header = "p,eps,true_error,aposteriori_estimate,apriori_total"
     outputs = []
     for gi, gamma in enumerate(gammas):
-        rows = _convergence_rows(P, u0, t, epss, args.p_max, gamma,
-                                 use_scaling, args.self_reference)
+        rows = _convergence_rows(P, u0, t, epss, args.p_max, gamma, refs)
         lines = [header]
         for p, e, err, est, bound in rows:
             lines.append(",".join([str(p), _fmt(e), _fmt(err), _fmt(est), _fmt(bound)]))
@@ -233,26 +230,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("solve", help="solve at (t, eps) targets")
     _add_problem_args(ps)
-    _add_scaling_args(ps)
+    ps.add_argument("--gamma", help="scaling parameter (default: heuristic; 1 turns scaling off)")
     ps.add_argument("--t", help="comma-separated time values")
     ps.add_argument("--eps", help="comma-separated parameter values (a+bi for complex)")
     ps.add_argument("--tol", type=float, help="adaptive tolerance")
     ps.add_argument("--p", type=int, help="fixed iteration count")
     ps.add_argument("--p-max", type=int, default=solver.DEFAULT_P_MAX, help="iteration cap")
-    ps.add_argument("--check-interval", type=int, default=solver.DEFAULT_CHECK_INTERVAL,
-                    help="steps between estimate checks")
     ps.add_argument("--out", help="CSV output path (default stdout)")
     ps.add_argument("--save-solutions", help="directory for solution vectors")
     ps.set_defaults(func=cmd_solve)
 
     pc = sub.add_parser("convergence", help="error/estimate table over p")
     _add_problem_args(pc)
-    _add_scaling_args(pc)
+    pc.add_argument("--gamma", help="comma-separated scaling parameters to compare "
+                    "(default: heuristic; 1 turns scaling off)")
     pc.add_argument("--t", help="time value")
     pc.add_argument("--eps", help="comma-separated parameter values")
     pc.add_argument("--p-max", type=int, default=60, help="largest iteration count")
-    pc.add_argument("--self-reference", action="store_true",
-                    help="use a deeper run as reference instead of the dense oracle")
     pc.add_argument("--out", help="CSV output path (default stdout)")
     pc.set_defaults(func=cmd_convergence)
 
@@ -275,7 +269,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

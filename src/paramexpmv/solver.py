@@ -81,13 +81,15 @@ def _exp_or_inf(logval: float) -> float:
         return math.inf
 
 
-def _geometric_factor(ae: float, k: int) -> float:
-    # limit of (1 - ae^(2k)) / (1 - ae^2) as ae -> 1 is k
+def _log_geometric_factor(ae: float, k: int) -> float:
+    """log((1 - ae^(2k)) / (1 - ae^2)), finite for every ae >= 0."""
+    # limit of the factor as ae -> 1 is k
     if abs(ae - 1.0) < 1e-12:
-        return float(k)
-    num = 1.0 - ae ** (2 * k)
-    den = 1.0 - ae * ae
-    return num / den
+        return math.log(k)
+    if ae < 1.0:
+        return math.log1p(-ae ** (2 * k)) - math.log1p(-ae * ae)
+    # ae^(2k) overflows here, so factor it out
+    return 2 * k * math.log(ae) + math.log1p(-ae ** (-2 * k)) - math.log(ae * ae - 1.0)
 
 
 def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
@@ -110,7 +112,7 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     else:
         log_krylov = (
             math.log(2.0)
-            + 0.5 * math.log(_geometric_factor(ae, k))
+            + 0.5 * _log_geometric_factor(ae, k)
             + p * math.log(t * B.alpha)
             - math.lgamma(p + 1)
             + t * max(1.0, B.beta)
@@ -275,23 +277,24 @@ def _horner(C: np.ndarray, x) -> np.ndarray:
     return u
 
 
-def _prepare(P: MatrixPolynomial, use_scaling: bool, gamma: float | None):
+def _prepare(P: MatrixPolynomial, gamma: float | None):
     if gamma is None:
-        gamma = heuristic_gamma(P) if (use_scaling and P.degree >= 1) else 1.0
+        gamma = heuristic_gamma(P)
     scaled = P.scaled(gamma) if gamma != 1.0 else P
     bounds = BoundInputs.from_polynomial(P)
     return gamma, scaled, bounds
 
 
-def build(P: MatrixPolynomial, u0, p: int, use_scaling: bool = True,
+def build(P: MatrixPolynomial, u0, p: int,
           gamma: float | None = None) -> ParameterizedSolution:
     """Run p Arnoldi steps and wrap the result as a parameterized solution.
 
-    With scaling enabled the iteration runs on the balanced coefficients;
-    evaluation transparently maps back, so the approximated solution is the
-    same function of (t, eps) either way.
+    The iteration runs on the coefficients scaled by gamma (None picks
+    ``heuristic_gamma``, 1.0 runs unscaled); evaluation transparently maps
+    back, so the approximated solution is the same function of (t, eps)
+    for every gamma.
     """
-    gamma, scaled, bounds = _prepare(P, use_scaling, gamma)
+    gamma, scaled, bounds = _prepare(P, gamma)
     K = run_arnoldi(scaled, u0, p)
     return ParameterizedSolution(K, P, scaled, gamma, bounds)
 
@@ -310,27 +313,25 @@ class AdaptiveResult:
 
 
 def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, complex]],
-                   tol: float, p_max: int = DEFAULT_P_MAX, use_scaling: bool = True,
-                   gamma: float | None = None,
-                   check_interval: int = DEFAULT_CHECK_INTERVAL) -> AdaptiveResult:
+                   tol: float, p_max: int = DEFAULT_P_MAX,
+                   gamma: float | None = None) -> AdaptiveResult:
     """Iterate until the error estimate at every target drops below tol.
 
-    Estimates are evaluated every `check_interval` steps (they require a
-    small dense exponential each). Returns a best-effort result with
+    Estimates are evaluated every `DEFAULT_CHECK_INTERVAL` steps, on
+    breakdown and at p_max (each needs a small dense exponential per t).
+    gamma is as in `build`. Returns a best-effort result with
     ``converged=False`` if p_max is reached first.
     """
     if not targets:
         raise ValueError("at least one (t, eps) target is required")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    if check_interval < 1:
-        raise ValueError("check_interval must be at least 1")
-    gamma, scaled, bounds = _prepare(P, use_scaling, gamma)
+    gamma, scaled, bounds = _prepare(P, gamma)
     it = InfiniteArnoldi(scaled, u0)
     while True:
         it.step()
         at_cap = it.p >= p_max
-        if it.breakdown or at_cap or it.p % check_interval == 0:
+        if it.breakdown or at_cap or it.p % DEFAULT_CHECK_INTERVAL == 0:
             S = ParameterizedSolution(it.decomposition(), P, scaled, gamma, bounds)
             reports = tuple(S.error_report(t, e) for t, e in targets)
             worst = max(r.total_estimate for r in reports)

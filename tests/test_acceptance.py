@@ -222,7 +222,7 @@ def test_criterion_6_bound_validity():
         scale = 2.0 / (t * alpha) * rng.uniform(0.3, 1.0)
         P = MatrixPolynomial([a * scale for a in mats])
         u0 = rng.standard_normal(n)
-        S = px.build(P, u0, 12, use_scaling=False)
+        S = px.build(P, u0, 12, gamma=1.0)
         for eps in (0.0, 0.1, 0.25, 0.5):
             ref = dense_solution(P, u0, t, eps)
             for p in range(2, 13):

@@ -3,10 +3,14 @@ import os
 import numpy as np
 import pytest
 
+import paramexpmv.reference
+import paramexpmv.solver
 from paramexpmv.cli import main
 from paramexpmv.linalg import load_vector
 from paramexpmv.problems import generate, write_problem
 from paramexpmv.reference import dense_solution
+from paramexpmv.solver import build
+from paramexpmv.toeplitz import MatrixPolynomial
 
 
 def read_csv(path):
@@ -105,14 +109,77 @@ def test_convergence_multi_gamma_files(tmp_path):
     assert (tmp_path / "g_g1.csv").exists()
 
 
-def test_convergence_self_reference(tmp_path):
+def test_convergence_one_build_against_expm_multiply(tmp_path, monkeypatch):
+    # one Arnoldi run at p = --p-max; the reference needs no dense oracle
+    builds = []
+    real_build = paramexpmv.solver.build
+    monkeypatch.setattr(paramexpmv.solver, "build",
+                        lambda P, u0, p, **kw: builds.append(p) or real_build(P, u0, p, **kw))
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense oracle called")
+
+    monkeypatch.setattr(paramexpmv.reference, "dense_solution", no_dense)
+    monkeypatch.setattr(paramexpmv.reference, "dense_cap", no_dense)
     out = tmp_path / "s.csv"
     rc = main(["convergence", "--problem", "advdiff1", "--n", "25", "--a", "1e-3",
-               "--t", "0.5", "--eps", "1e-3", "--p-max", "15",
-               "--self-reference", "--out", str(out)])
+               "--t", "0.5", "--eps", "1e-3,2e-2", "--p-max", "15", "--out", str(out)])
+    assert rc == 0
+    assert builds == [15]
+    monkeypatch.undo()
+
+    _, rows = read_csv(out)
+    assert len(rows) == 30
+    P, u0 = generate("advdiff1", {"n": 25, "a": 1e-3})
+    S = build(P, u0, 15)
+    refs = {e: dense_solution(P, u0, 0.5, e) for e in (1e-3, 2e-2)}
+    for p, e, err, *_ in rows:
+        expected = np.linalg.norm(S.with_p(int(p)).evaluate(0.5, float(e)) - refs[float(e)])
+        assert abs(float(err) - expected) <= 1e-12
+    assert float(rows[-2][2]) < 1e-10
+
+
+def test_convergence_stops_at_breakdown(tmp_path):
+    # degree 0 on n = 8: the Krylov space is exhausted after at most 8 steps
+    P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
+    manifest = write_problem(tmp_path / "prob", "advdiff1-A0", MatrixPolynomial([P.coeffs[0]]),
+                             u0, {})
+    out = tmp_path / "b.csv"
+    rc = main(["convergence", "--manifest", manifest, "--t", "0.5", "--p-max", "20",
+               "--out", str(out)])
     assert rc == 0
     _, rows = read_csv(out)
-    assert float(rows[-1][2]) < 1e-10
+    S = build(MatrixPolynomial([P.coeffs[0]]), u0, 20)
+    assert S.decomposition.breakdown and S.p < 20
+    assert [int(r[0]) for r in rows] == list(range(1, S.p + 1))
+    assert float(rows[-1][2]) < 1e-12
+
+
+def test_non_finite_data_is_usage_error(tmp_path, capsys):
+    P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
+    A0 = P.coeffs[0].toarray()
+    A0[2, 3] = np.nan
+    manifest = write_problem(tmp_path / "nan", "advdiff1-nan",
+                             MatrixPolynomial([A0, P.coeffs[1]]), u0, {})
+    rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, t, gamma", [
+    ("solve", "0.5+1i", "1"),
+    ("convergence", "0.5+1i", "1"),
+    ("solve", "0.5", "2+1i"),
+    ("convergence", "0.5", "1,2+1i"),
+    ("solve", "0.5", "1,50"),
+])
+def test_complex_or_repeated_reals_are_usage_errors(command, t, gamma, tmp_path):
+    argv = [command, "--problem", "advdiff1", "--n", "10", "--a", "1e-3",
+            "--p-max", "5", "--out", str(tmp_path / "x.csv")]
+    if command == "solve":
+        argv += ["--p", "5"]
+    assert main(argv + ["--t", "0.5", "--gamma", "1"]) == 0
+    assert main(argv + ["--t", t, "--gamma", gamma]) == 2
 
 
 def test_generate_and_reload(tmp_path):
@@ -136,7 +203,7 @@ def test_generate_requires_out():
 def test_no_scaling_flag(tmp_path):
     out = tmp_path / "ns.csv"
     rc = main(["solve", "--problem", "advdiff1", "--n", "20", "--a", "1e-3",
-               "--t", "0.2", "--eps", "1e-3", "--p", "25", "--no-scaling",
+               "--t", "0.2", "--eps", "1e-3", "--p", "25", "--gamma", "1",
                "--out", str(out)])
     assert rc == 0
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import paramexpmv.linalg
 import paramexpmv.matfun
+from paramexpmv import solver
 from paramexpmv.cli import main
 from paramexpmv.problems import gen_advdiff1
 from paramexpmv.reference import dense_coefficients, dense_solution
@@ -105,9 +106,9 @@ def test_coefficients_match_dense_oracle():
 
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 4), N=st.integers(1, 3), complex_coeffs=st.booleans(),
-       use_scaling=st.booleans(), t=st.floats(0.1, 1.0),
+       gamma=st.sampled_from([None, 1.0]), t=st.floats(0.1, 1.0),
        eps=st.complex_numbers(max_magnitude=0.5), seed=st.integers(0, 2**32 - 1))
-def test_solution_and_coefficients_match_dense_oracles(n, N, complex_coeffs, use_scaling,
+def test_solution_and_coefficients_match_dense_oracles(n, N, complex_coeffs, gamma,
                                                        t, eps, seed):
     rng = np.random.default_rng(seed)
     mats = [rng.standard_normal((n, n)) for _ in range(N + 1)]
@@ -115,7 +116,7 @@ def test_solution_and_coefficients_match_dense_oracles(n, N, complex_coeffs, use
         mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
     P = MatrixPolynomial([0.5 * A for A in mats])
     u0 = rng.standard_normal(n)
-    S = build(P, u0, 30, use_scaling=use_scaling)
+    S = build(P, u0, 30, gamma=gamma)
     tol = 1e-10 * np.linalg.norm(u0)
     np.testing.assert_allclose(S.evaluate(t, eps), dense_solution(P, u0, t, eps),
                                rtol=1e-10, atol=tol)
@@ -126,7 +127,7 @@ def test_solution_and_coefficients_match_dense_oracles(n, N, complex_coeffs, use
 def test_cached_arrays_are_read_only():
     # without scaling coefficients(t) is a view of the rows evaluate reads
     P, u0 = gen_advdiff1(50, 3e-4)
-    S = build(P, u0, 10, use_scaling=False)
+    S = build(P, u0, 10, gamma=1.0)
     before = S.evaluate(0.5, 1e-2)
     C = S.coefficients(0.5)
     with pytest.raises(ValueError):
@@ -187,8 +188,8 @@ def test_scaling_invariance_of_solution():
     rng = np.random.default_rng(5)
     P = random_poly(rng, 4, 2, scale=0.4)
     u0 = rng.standard_normal(4)
-    S1 = build(P, u0, 20, use_scaling=True)
-    S2 = build(P, u0, 20, use_scaling=False)
+    S1 = build(P, u0, 20)
+    S2 = build(P, u0, 20, gamma=1.0)
     ref = dense_solution(P, u0, 0.7, 0.15)
     np.testing.assert_allclose(S1.evaluate(0.7, 0.15), ref, atol=1e-9)
     np.testing.assert_allclose(S2.evaluate(0.7, 0.15), ref, atol=1e-9)
@@ -201,7 +202,7 @@ def test_apriori_bounds_dominate_error():
         N = int(rng.integers(1, 3))
         P = random_poly(rng, n, N, scale=0.3)
         u0 = rng.standard_normal(n)
-        S = build(P, u0, 10, use_scaling=False)
+        S = build(P, u0, 10, gamma=1.0)
         t = 0.6
         for eps in (0.1, 0.4):
             ref = dense_solution(P, u0, t, eps)
@@ -220,6 +221,30 @@ def test_apriori_requires_valid_inputs():
         apriori_bounds(B, 1.0, 0.1, 1, 1, 1.0)
 
 
+@pytest.mark.parametrize("ae", [0.0, 0.3, 0.999, 1.0, 1.5, 2.0])
+def test_log_geometric_factor_matches_closed_form(ae):
+    def factor(ae, k):
+        if abs(ae - 1.0) < 1e-12:
+            return float(k)
+        return (1.0 - ae ** (2 * k)) / (1.0 - ae * ae)
+
+    for k in (1, 2, 5, 50, 159):
+        assert math.isclose(solver._log_geometric_factor(ae, k), math.log(factor(ae, k)),
+                            rel_tol=4e-15, abs_tol=1e-15)
+
+
+def test_apriori_bounds_finite_or_inf_beyond_unit_eps():
+    # ae^(2k) overflows a float for |eps| > 1; the bounds must say +inf, not raise
+    kry, _, _ = apriori_bounds(BoundInputs(1, 0.5, 0, 1), 0.5, 10.0, 160, 1, 1.0)
+    assert 0.0 < kry < math.inf
+    P, u0 = gen_advdiff1(30, 1e-3)
+    with np.errstate(over="ignore"):
+        rep = build(P, u0, 160).error_report(0.5, 10.0)
+        assert rep.apriori_total == math.inf
+        res = solve_adaptive(P, u0, [(0.5, 10.0)], tol=1e-300)
+    assert not res.converged and res.p == 200
+
+
 def test_truncation_bound_zero_for_zero_eps():
     B = BoundInputs(alpha=1.0, beta=0.5, mu0=0.0, a=0.5)
     kry, trunc, total = apriori_bounds(B, 1.0, 0.0, 5, 1, 1.0)
@@ -231,7 +256,7 @@ def test_aposteriori_estimate_tracks_error():
     rng = np.random.default_rng(7)
     P = random_poly(rng, 5, 1, scale=0.8)
     u0 = rng.standard_normal(5)
-    S = build(P, u0, 14, use_scaling=False)
+    S = build(P, u0, 14, gamma=1.0)
     t, eps = 1.0, 0.3
     ref = dense_solution(P, u0, t, eps)
     for p in range(4, 12):
@@ -244,14 +269,14 @@ def test_aposteriori_estimate_tracks_error():
 
 
 @pytest.mark.parametrize("N", [1, 2])
-@pytest.mark.parametrize("use_scaling", [False, True])
-def test_aposteriori_estimate_scales_with_t(N, use_scaling):
+@pytest.mark.parametrize("scaled", [False, True])
+def test_aposteriori_estimate_scales_with_t(N, scaled):
     # each term of the Krylov error expansion carries a factor t^j, so a
     # missing factor t shows up as est/err ~ 1/t away from t = 1
     rng = np.random.default_rng(17 + N)
     P = random_poly(rng, 5, N, scale=0.6)
     u0 = rng.standard_normal(5)
-    S = build(P, u0, 14, use_scaling=use_scaling)
+    S = build(P, u0, 14, gamma=None if scaled else 1.0)
     eps = 0.3
     checked = 0
     for t in (0.1, 0.5, 2.0):
@@ -320,8 +345,6 @@ def test_solve_adaptive_validates_arguments():
     P = MatrixPolynomial([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         solve_adaptive(P, np.ones(2), [(1.0, 0.1)], tol=-1.0)
-    with pytest.raises(ValueError):
-        solve_adaptive(P, np.ones(2), [(1.0, 0.1)], tol=1e-8, check_interval=0)
 
 
 def test_gamma_override():
@@ -332,6 +355,8 @@ def test_gamma_override():
     assert S.gamma == 2.0
     ref = dense_solution(P, u0, 0.8, 0.2)
     np.testing.assert_allclose(S.evaluate(0.8, 0.2), ref, atol=1e-9)
+    # the heuristic has no tail norms to balance for degree 0
+    assert build(MatrixPolynomial([P.coeffs[0]]), u0, 5).gamma == 1.0
 
 
 def test_build_rejects_nan_coefficients():
@@ -339,4 +364,4 @@ def test_build_rejects_nan_coefficients():
     A0[1, 2] = np.nan
     P = MatrixPolynomial([A0, np.eye(3)])
     with pytest.raises(FloatingPointError, match="step 1"):
-        build(P, np.ones(3), 4, use_scaling=False)
+        build(P, np.ones(3), 4, gamma=1.0)
