@@ -4,12 +4,14 @@ Emits deterministic CSV (17 significant digits) plus gnuplot-ready scripts
 for convergence studies. `--gamma` sets the scaling parameter (default the
 heuristic; `--gamma 1` runs unscaled). Convergence studies measure the true
 error against `scipy.sparse.linalg.expm_multiply`. Exit codes: 0 success,
-2 usage/input error (also non-finite problem data), 3 tolerance unreached.
+2 usage/input error (also non-finite problem data or option values),
+3 tolerance unreached.
 """
 
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 
 import numpy as np
@@ -36,11 +38,15 @@ def _fmt(x) -> str:
 def _parse_scalar(token: str):
     token = token.strip()
     try:
-        if "i" in token or "j" in token:
-            return complex(token.replace("i", "j"))
-        return float(token)
+        if token.endswith(("i", "j")):
+            value = complex(token[:-1] + "j")
+        else:
+            value = float(token)
     except ValueError as exc:
         raise InputError(f"cannot parse scalar '{token}'") from exc
+    if not cmath.isfinite(value):
+        raise InputError(f"non-finite value '{token}'")
+    return value
 
 
 def _parse_list(text: str) -> list:

@@ -2,11 +2,13 @@
 (t, eps), and attach a priori bounds and a posteriori error estimates.
 
 One Arnoldi run yields a compact object; every subsequent evaluation costs
-only a small dense exponential, never another large matvec.
+only a small dense exponential per new t and one matrix-vector product over
+the cached coefficient rows, never another large matvec.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -102,6 +104,7 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     """
     if not (t > 0):
         raise ValueError("t must be positive")
+    _check_eps(eps)
     if p < 2:
         raise ValueError("a priori bounds require p >= 2")
     ae = abs(eps)
@@ -224,9 +227,14 @@ class ParameterizedSolution:
         return C
 
     def evaluate(self, t: float, eps, k: int | None = None) -> np.ndarray:
-        """Approximate solution at (t, eps) from the first k coefficients."""
+        """Approximate solution at (t, eps) from the first k coefficients.
+
+        Costs one matrix-vector product over the cached (k, n) coefficient
+        rows, plus coefficient synthesis on the first call at a new t.
+        """
         k = self._check_k(k)
-        return _horner(self._scaled_coefficients(t)[:k], self.gamma * eps)
+        _check_eps(eps)
+        return _power_sum(self._scaled_coefficients(t)[:k], self.gamma * eps)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -244,6 +252,7 @@ class ParameterizedSolution:
         is covered too. Zero on lucky breakdown (the decomposition is then
         exact).
         """
+        _check_eps(eps)
         K = self.decomposition
         if K.breakdown:
             return 0.0
@@ -267,6 +276,38 @@ class ParameterizedSolution:
             apriori_krylov=kry, apriori_truncation=trunc, apriori_total=total,
             aposteriori_krylov=post, total_estimate=post,
         )
+
+
+def _check_eps(eps) -> None:
+    if not cmath.isfinite(eps):
+        raise ValueError(f"eps must be finite, got {eps}")
+
+
+def _power_sum(C: np.ndarray, x) -> np.ndarray:
+    """sum_l x^l C[l] over the rows of C: one BLAS product per block of rows.
+
+    Blocks hold b rows, with |x|^b finite (b = len(C) when |x| <= 1); Horner's
+    rule in x^b joins the block sums. For real C and complex x the powers
+    enter as a real (b, 2) matrix [Re, Im], so C is never cast to complex.
+    """
+    k = len(C)
+    ax = abs(x)
+    # |x|^b <= 1e300
+    b = k if ax <= 1.0 else max(1, min(k, math.floor(300 / math.log10(ax))))
+    powers = np.cumprod(np.r_[1.0, np.full(b, x)])  # x^0 .. x^b
+    split = np.iscomplexobj(powers) and not np.iscomplexobj(C)
+    if split:
+        powers_ri = np.stack([powers.real, powers.imag], axis=1)
+    u = None
+    for start in range((k - 1) // b * b, -1, -b):
+        block = C[start:start + b]
+        if split:
+            # (n, 2) C-ordered rows [Re, Im] read in place as complex
+            s = (block.T @ powers_ri[:len(block)]).view(np.complex128)[:, 0]
+        else:
+            s = block.T @ powers[:len(block)]
+        u = s if u is None else s + powers[b] * u
+    return u
 
 
 def _horner(C: np.ndarray, x) -> np.ndarray:
@@ -326,6 +367,8 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, compl
         raise ValueError("at least one (t, eps) target is required")
     if not (tol > 0):
         raise ValueError("tol must be positive")
+    for _, eps in targets:
+        _check_eps(eps)
     gamma, scaled, bounds = _prepare(P, gamma)
     it = InfiniteArnoldi(scaled, u0)
     while True:

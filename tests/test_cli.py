@@ -166,6 +166,17 @@ def test_non_finite_data_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--eps", "nan"), ("--eps", "inf"), ("--eps", "1e400"), ("--eps", "nan+1i"),
+    ("--gamma", "inf"),
+])
+def test_non_finite_values_are_usage_errors(option, value, capsys):
+    argv = ["solve", "--problem", "advdiff1", "--n", "20", "--a", "1e-3",
+            "--t", "0.5", "--p", "10"]
+    assert main(argv + [option, value]) == 2
+    assert f"error: non-finite value '{value}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, t, gamma", [
     ("solve", "0.5+1i", "1"),
     ("convergence", "0.5+1i", "1"),

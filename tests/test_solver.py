@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -162,6 +163,78 @@ def test_complex_eps_evaluation():
     eps = 0.2 + 0.1j
     ref = dense_solution(P, u0, 0.9, eps)
     np.testing.assert_allclose(S.evaluate(0.9, eps), ref, atol=1e-9)
+
+
+def horner(C, x):
+    """sum_l x^l C[l] by Horner's rule, the reference for the evaluate kernel."""
+    u = np.zeros(C.shape[1], np.result_type(C, x))
+    for row in C[::-1]:
+        u = row + x * u
+    return u
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("x", [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j])
+def test_evaluate_matches_horner(complex_rows, x):
+    # x = gamma * eps, so x = 0.5 is the |gamma eps| <= 1 case and 50 the >> 1 case
+    if complex_rows:
+        rng = np.random.default_rng(21)
+        mats = [0.4 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+                for _ in range(3)]
+        S = build(MatrixPolynomial(mats), rng.standard_normal(6), 15)
+    else:
+        S = build(*gen_advdiff1(30, 1e-3), 25)
+    t = 0.6
+    rows = S._scaled_coefficients(t)
+    assert np.iscomplexobj(rows) == complex_rows
+    eps = x / S.gamma
+    for k in (1, S.k_max // 2, S.k_max):
+        ref = horner(rows[:k], S.gamma * eps)
+        u = S.evaluate(t, eps, k)
+        assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("t", [0.01, 0.5])
+def test_evaluate_finite_when_gamma_eps_power_overflows(t):
+    # gamma * eps = 100 and 100**199 overflows, so the 200 rows are summed in
+    # blocks; a single block turns inf * 0 (underflowed rows) into NaN.
+    P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
+    S = build(P, np.ones(1), 200)
+    assert S.gamma == 1e4 and S.k_max == 200
+    u = S.evaluate(t, 0.01)
+    assert np.all(np.isfinite(u))
+    ref = horner(S._scaled_coefficients(t), 100.0)
+    assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def test_complex_eps_evaluate_does_not_copy_real_rows():
+    P, u0 = gen_advdiff1(500, 1e-3)
+    S = build(P, u0, 30)
+    rows = S._scaled_coefficients(0.5)
+    assert rows.dtype == np.float64
+    tracemalloc.start()
+    try:
+        S.evaluate(0.5, 1e-2 + 1e-2j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes / 2
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, complex(0.1, math.nan)])
+def test_non_finite_eps_is_rejected(eps, monkeypatch):
+    S = build(*gen_advdiff1(20, 1e-3), 10)
+    for call in (S.evaluate, S.apriori, S.aposteriori_krylov, S.error_report):
+        with pytest.raises(ValueError, match="eps must be finite"):
+            call(0.5, eps)
+
+    def no_arnoldi(*args, **kwargs):
+        raise AssertionError("Arnoldi started")
+
+    monkeypatch.setattr(solver, "InfiniteArnoldi", no_arnoldi)
+    P, u0 = gen_advdiff1(20, 1e-3)
+    with pytest.raises(ValueError, match="eps must be finite"):
+        solve_adaptive(P, u0, [(0.5, 1e-2), (0.5, eps)], tol=1e-8)
 
 
 def test_k_max_and_degree_bookkeeping():
