@@ -152,12 +152,8 @@ class KrylovDecomposition:
         """Read-only nonzero prefix of the basis vector q_{p+1}, or None on breakdown."""
         return None if self.breakdown else self.staircase.column(self.p)
 
-    def basis(self) -> np.ndarray:
-        """Columns q_1..q_p restricted to their joint nonzero rows (a new array)."""
-        return self.staircase.dense(self.p)
-
     def combine(self, w: np.ndarray) -> np.ndarray:
-        """Q_p w over the rows of `basis()`, without forming the basis."""
+        """Q_p w over the joint nonzero rows of q_1..q_p, without forming the basis."""
         w = np.asarray(w)
         if w.shape != (self.p,):
             raise ValueError(f"w must have shape ({self.p},), got {w.shape}")
@@ -249,17 +245,6 @@ class InfiniteArnoldi:
         self._basis.append(y)
         return True
 
-    def run(self, steps: int) -> int:
-        """Run up to `steps` further iterations; returns the number performed."""
-        done = 0
-        for _ in range(steps):
-            if not self.step():
-                if self.breakdown:
-                    done += 1
-                break
-            done += 1
-        return done
-
     def decomposition(self) -> KrylovDecomposition:
         """Immutable snapshot of the current state."""
         if self.p == 0:
@@ -278,5 +263,6 @@ def run_arnoldi(P: MatrixPolynomial, u0, p: int) -> KrylovDecomposition:
     if p < 1:
         raise ValueError("p must be at least 1")
     it = InfiniteArnoldi(P, u0)
-    it.run(p)
+    while it.p < p and it.step():
+        pass
     return it.decomposition()

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import os
 import sys
 
 import numpy as np
@@ -139,7 +140,6 @@ def cmd_solve(args) -> int:
     _write_lines(args.out, lines)
 
     if args.save_solutions:
-        import os
         os.makedirs(args.save_solutions, exist_ok=True)
         for idx, (t, e) in enumerate(targets):
             u = S.evaluate(t, e)
@@ -272,10 +272,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError, FloatingPointError) as exc:
+    except (InputError, ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

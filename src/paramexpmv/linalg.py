@@ -40,11 +40,6 @@ def as_csr(A) -> sp.csr_array:
     return M
 
 
-def from_coo(rows, cols, vals, shape) -> sp.csr_array:
-    """Build a CSR matrix from coordinate triplets; duplicate entries are summed."""
-    return as_csr(sp.coo_array((np.asarray(vals), (rows, cols)), shape=shape))
-
-
 def norm_bound(A) -> float:
     """Upper bound sqrt(||A||_1 ||A||_inf) on the spectral norm of A, in O(nnz)."""
     absA = abs(as_csr(A))

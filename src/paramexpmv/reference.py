@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import scipy.sparse as sp
 
@@ -11,23 +9,13 @@ from .arnoldi import BREAKDOWN_TOL, KrylovDecomposition, StaircaseBasis
 from .matfun import expm
 from .toeplitz import MatrixPolynomial, assemble_lm
 
-#: Environment variable overriding the dense oracle dimension cap.
-DENSE_CAP_ENV = "PARAMEXPMV_DENSE_CAP"
-DEFAULT_DENSE_CAP = 2000
-
-
-def dense_cap() -> int:
-    value = os.environ.get(DENSE_CAP_ENV)
-    return int(value) if value else DEFAULT_DENSE_CAP
+#: Largest dimension the dense oracles exponentiate.
+DENSE_CAP = 2000
 
 
 def _check_cap(size: int) -> None:
-    cap = dense_cap()
-    if size > cap:
-        raise ValueError(
-            f"dense reference of dimension {size} exceeds cap {cap} "
-            f"(override with {DENSE_CAP_ENV})"
-        )
+    if size > DENSE_CAP:
+        raise ValueError(f"dense reference of dimension {size} exceeds cap {DENSE_CAP}")
 
 
 def dense_solution(P: MatrixPolynomial, u0, t: float, eps) -> np.ndarray:
@@ -45,7 +33,7 @@ def dense_coefficients(P: MatrixPolynomial, u0, t: float, m: int) -> np.ndarray:
     """
     n = P.dim
     _check_cap(m * n)
-    L = assemble_lm(P, m, cap=max(m * n, 1)).toarray()
+    L = assemble_lm(P, m).toarray()
     w = np.zeros(m * n, dtype=np.result_type(L.dtype, np.asarray(u0).dtype))
     w[:n] = np.asarray(u0).ravel()
     return (expm(t * L) @ w).reshape(m, n)

@@ -102,8 +102,9 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     (its sharper variant when N = 1) at k = 1 + N(p-1) retained
     coefficients. Computed in log space; overflow yields +inf.
     """
-    if not (t > 0):
-        raise ValueError("t must be positive")
+    _check_t(t)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
     _check_eps(eps)
     if p < 2:
         raise ValueError("a priori bounds require p >= 2")
@@ -176,7 +177,6 @@ class ParameterizedSolution:
         self.bounds = bounds
         self.n = poly.dim
         self.degree = poly.degree
-        self.u0_norm = decomposition.beta
         self.p = decomposition.p
         self.k_max = 1 + self.degree * (self.p - 1)
         self._at_time: dict[float, _AtTime] = {}
@@ -191,6 +191,7 @@ class ParameterizedSolution:
     def _at(self, t: float) -> _AtTime:
         rec = self._at_time.get(t)
         if rec is None:
+            _check_t(t)
             K = self.decomposition
             e1, phi1 = phi_columns(K.hessenberg, t)
             rec = _AtTime(e1 * K.beta, phi1[-1])
@@ -208,15 +209,11 @@ class ParameterizedSolution:
             rec.rows = rows
         return rec.rows
 
-    def _check_k(self, k: int | None) -> int:
+    def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
+        """First k expansion coefficients at time t, shape (k, n); k defaults to k_max."""
         k = self.k_max if k is None else k
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
-        return k
-
-    def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
-        """First k expansion coefficients at time t, shape (k, n)."""
-        k = self._check_k(k)
         C = self._scaled_coefficients(t)[:k]
         if self.gamma != 1.0:
             # m finite factors: gamma**l alone overflows where scaled rows underflow
@@ -226,19 +223,19 @@ class ParameterizedSolution:
                 C = C * root
         return C
 
-    def evaluate(self, t: float, eps, k: int | None = None) -> np.ndarray:
-        """Approximate solution at (t, eps) from the first k coefficients.
+    def evaluate(self, t: float, eps) -> np.ndarray:
+        """Approximate solution at (t, eps) from all k_max coefficients.
 
-        Costs one matrix-vector product over the cached (k, n) coefficient
-        rows, plus coefficient synthesis on the first call at a new t.
+        Costs one matrix-vector product over the cached (k_max, n)
+        coefficient rows, plus coefficient synthesis on the first call at a
+        new t.
         """
-        k = self._check_k(k)
         _check_eps(eps)
-        return _power_sum(self._scaled_coefficients(t)[:k], self.gamma * eps)
+        return _power_sum(self._scaled_coefficients(t), self.gamma * eps)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
-        return apriori_bounds(self.bounds, t, eps, self.p, self.degree, self.u0_norm)
+        return apriori_bounds(self.bounds, t, eps, self.p, self.degree, self.decomposition.beta)
 
     def aposteriori_krylov(self, t: float, eps) -> float:
         """A posteriori estimate of the error at (t, eps).
@@ -276,6 +273,11 @@ class ParameterizedSolution:
             apriori_krylov=kry, apriori_truncation=trunc, apriori_total=total,
             aposteriori_krylov=post, total_estimate=post,
         )
+
+
+def _check_t(t) -> None:
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
 
 
 def _check_eps(eps) -> None:
@@ -367,7 +369,12 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, compl
         raise ValueError("at least one (t, eps) target is required")
     if not (tol > 0):
         raise ValueError("tol must be positive")
-    for _, eps in targets:
+    if p_max < 1:
+        raise ValueError(f"p_max must be at least 1, got {p_max}")
+    for t, eps in targets:
+        _check_t(t)
+        if not t > 0:
+            raise ValueError(f"t must be positive, got {t}")
         _check_eps(eps)
     gamma, scaled, bounds = _prepare(P, gamma)
     it = InfiniteArnoldi(scaled, u0)

@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from .linalg import as_csr, norm_bound
 
-#: Default cap on m*n for explicit operator assembly (oracle-only usage).
+#: Cap on m*n for explicit operator assembly (oracle-only usage).
 ASSEMBLY_CAP = 200_000
 
 
@@ -59,17 +59,17 @@ class MatrixPolynomial:
         )
 
 
-def assemble_lm(P: MatrixPolynomial, m: int, cap: int = ASSEMBLY_CAP) -> sp.csr_array:
+def assemble_lm(P: MatrixPolynomial, m: int) -> sp.csr_array:
     """Explicit mn x mn block-Toeplitz operator with block (i, j) = A_{i-j}.
 
     Only bands 0 <= i-j <= min(m-1, N) are present. Test oracle; refuses to
-    assemble beyond `cap` total rows.
+    assemble beyond `ASSEMBLY_CAP` total rows.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     n = P.dim
-    if m * n > cap:
-        raise ValueError(f"assembly of a {m * n}x{m * n} operator exceeds cap {cap}")
+    if m * n > ASSEMBLY_CAP:
+        raise ValueError(f"assembly of a {m * n}x{m * n} operator exceeds cap {ASSEMBLY_CAP}")
     nhat = min(m - 1, P.degree)
     L = sp.csr_array((m * n, m * n), dtype=P.dtype)
     for i in range(nhat + 1):

@@ -18,10 +18,10 @@ def test_basis_growth_pattern():
     P = random_poly(rng, n, N)
     u0 = rng.standard_normal(n)
     d = run_arnoldi(P, u0, 5)
-    Q = d.basis()
-    assert Q.shape == (n * (1 + N * 4), 5)
+    Q = d.Q
+    assert Q.shape == (n * (1 + N * 5), 6)
     # column ell is supported on its leading 1 + (ell-1)N blocks
-    for ell in range(1, 6):
+    for ell in range(1, 7):
         rows = n * (1 + (ell - 1) * N)
         tail = Q[rows:, ell - 1]
         assert not tail.any()
@@ -32,8 +32,8 @@ def test_orthonormal_basis():
     P = random_poly(rng, 4, 1)
     u0 = rng.standard_normal(4)
     d = run_arnoldi(P, u0, 8)
-    Q = d.basis()
-    np.testing.assert_allclose(Q.T.conj() @ Q, np.eye(8), atol=1e-13)
+    Q = d.Q
+    np.testing.assert_allclose(Q.T.conj() @ Q, np.eye(9), atol=1e-13)
 
 
 def test_hessenberg_shape_and_subdiagonal():
@@ -84,7 +84,7 @@ def test_truncate_shares_prefix():
     d4 = d.truncate(4)
     assert d4.p == 4
     np.testing.assert_allclose(d4.hessenberg, d.hessenberg[:4, :4])
-    np.testing.assert_allclose(d4.basis(), d.basis()[:d4.basis().shape[0], :4])
+    np.testing.assert_allclose(d4.Q, d.Q[:d4.Q.shape[0], :5])
 
 
 def test_truncate_validates_range():
@@ -114,10 +114,9 @@ def test_breakdown_invariant_subspace():
     A0 = np.diag([1.0, 2.0, 3.0])
     P = MatrixPolynomial([A0, np.zeros((3, 3))])
     u0 = np.array([1.0, 0.0, 0.0])
-    it = InfiniteArnoldi(P, u0)
-    it.run(5)
-    assert it.breakdown
-    assert it.p == 1
+    d = run_arnoldi(P, u0, 5)
+    assert d.breakdown
+    assert d.p == 1
 
 
 def test_incremental_equals_batch():
@@ -130,7 +129,7 @@ def test_incremental_equals_batch():
     d_inc = it.decomposition()
     d_batch = run_arnoldi(P, u0, 6)
     np.testing.assert_allclose(d_inc.H, d_batch.H, atol=1e-14)
-    np.testing.assert_allclose(d_inc.basis(), d_batch.basis(), atol=1e-14)
+    np.testing.assert_allclose(d_inc.Q, d_batch.Q, atol=1e-14)
 
 
 def test_matches_textbook_arnoldi_on_large_truncation():
@@ -145,8 +144,7 @@ def test_matches_textbook_arnoldi_on_large_truncation():
     v0[:n] = u0
     ref = textbook_arnoldi(L, v0, p)
     np.testing.assert_allclose(d.H, ref.H, atol=1e-12)
-    rows = d.basis().shape[0]
-    np.testing.assert_allclose(d.basis(), ref.basis()[:rows], atol=1e-12)
+    np.testing.assert_allclose(d.Q, ref.Q, atol=1e-12)
 
 
 def test_breakdown_tolerance_constant():
@@ -160,8 +158,8 @@ def test_complex_coefficients_supported():
     P = MatrixPolynomial([0.4 * m for m in mats])
     u0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     d = run_arnoldi(P, u0, 5)
-    Q = d.basis()
-    np.testing.assert_allclose(Q.T.conj() @ Q, np.eye(5), atol=1e-13)
+    Q = d.Q
+    np.testing.assert_allclose(Q.T.conj() @ Q, np.eye(6), atol=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -183,19 +181,23 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     np.testing.assert_allclose(L @ Qfull[:, :d.p], Qfull @ d.H[:Q.shape[1]], atol=1e-12)
     np.testing.assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
     w = rng.standard_normal(d.p)
-    np.testing.assert_allclose(d.combine(w), d.basis() @ w, rtol=0, atol=1e-12)
+    c = d.combine(w)
+    np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
 
 
 def test_snapshot_unchanged_by_later_steps():
     rng = np.random.default_rng(10)
     P = random_poly(rng, 3, 2)
     it = InfiniteArnoldi(P, rng.standard_normal(3))
-    it.run(CHUNK - 1)
+    for _ in range(CHUNK - 1):
+        it.step()
     d = it.decomposition()
-    basis, H, r = d.basis().copy(), d.H.copy(), d.residual_vector.copy()
-    it.run(2 * CHUNK + 1)
+    # d.Q is cached, so the stored columns are read afresh from the storage
+    basis, H, r = d.staircase.dense(d.ncols), d.H.copy(), d.residual_vector.copy()
+    for _ in range(2 * CHUNK + 1):
+        it.step()
     assert it.p == 3 * CHUNK
-    np.testing.assert_array_equal(d.basis(), basis)
+    np.testing.assert_array_equal(d.staircase.dense(d.ncols), basis)
     np.testing.assert_array_equal(d.H, H)
     np.testing.assert_array_equal(d.residual_vector, r)
 

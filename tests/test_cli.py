@@ -71,6 +71,14 @@ def test_solve_tolerance_unreached_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_p_max_below_one_is_usage_error(capsys):
+    assert main(["solve", "--problem", "advdiff1", "--n", "20", "--a", "3e-4",
+                 "--t", "0.5", "--eps", "1e-3", "--tol", "1e-8", "--p-max", "0"]) == 2
+    captured = capsys.readouterr()
+    assert "p_max must be at least 1" in captured.err
+    assert captured.out == ""
+
+
 def test_missing_problem_is_usage_error():
     assert main(["solve", "--t", "0.5", "--p", "5"]) == 2
 
@@ -120,7 +128,7 @@ def test_convergence_one_build_against_expm_multiply(tmp_path, monkeypatch):
         raise AssertionError("dense oracle called")
 
     monkeypatch.setattr(paramexpmv.reference, "dense_solution", no_dense)
-    monkeypatch.setattr(paramexpmv.reference, "dense_cap", no_dense)
+    monkeypatch.setattr(paramexpmv.reference, "dense_coefficients", no_dense)
     out = tmp_path / "s.csv"
     rc = main(["convergence", "--problem", "advdiff1", "--n", "25", "--a", "1e-3",
                "--t", "0.5", "--eps", "1e-3,2e-2", "--p-max", "15", "--out", str(out)])

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from paramexpmv.linalg import (
     DENSE_CUTOFF,
     as_csr,
-    from_coo,
     load_matrix,
     load_vector,
     log_norm,
@@ -33,9 +32,10 @@ def test_as_csr_passthrough_keeps_values():
     np.testing.assert_allclose(M.toarray(), A.toarray())
 
 
-def test_from_coo():
-    M = from_coo([0, 1], [1, 0], [2.0, -1.0], (2, 2))
-    np.testing.assert_allclose(M.toarray(), [[0.0, 2.0], [-1.0, 0.0]])
+def diffusion_stencil(n):
+    """tridiag(1, -2, 1) of dimension n."""
+    return as_csr(sp.diags_array([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                                 offsets=[-1, 0, 1]))
 
 
 @st.composite
@@ -73,12 +73,7 @@ def test_norm_bounds_of_zero_matrix():
 def test_norm_bounds_exact_on_diffusion_stencil():
     # tridiag(1, -2, 1): row sums give ||A||_1 = ||A||_inf = 4 and Gershgorin 0
     n = 80
-    A = from_coo(
-        np.r_[np.arange(n), np.arange(n - 1), np.arange(1, n)],
-        np.r_[np.arange(n), np.arange(1, n), np.arange(n - 1)],
-        np.r_[-2.0 * np.ones(n), np.ones(n - 1), np.ones(n - 1)],
-        (n, n),
-    )
+    A = diffusion_stencil(n)
     assert norm_bound(A) == 4.0
     assert log_norm_bound(A) == 0.0
 
@@ -120,12 +115,7 @@ def test_log_norm_matches_dense_eig(n):
 def test_log_norm_negative_definite():
     # diffusion stencil: strictly dissipative, log norm must stay negative
     n = 30
-    A = from_coo(
-        np.r_[np.arange(n), np.arange(n - 1), np.arange(1, n)],
-        np.r_[np.arange(n), np.arange(1, n), np.arange(n - 1)],
-        np.r_[-2.0 * np.ones(n), np.ones(n - 1), np.ones(n - 1)],
-        (n, n),
-    )
+    A = diffusion_stencil(n)
     assert log_norm(A) < 0.0
 
 

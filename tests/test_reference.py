@@ -1,12 +1,8 @@
 import numpy as np
 import pytest
 
-from paramexpmv.reference import (
-    dense_cap,
-    dense_coefficients,
-    dense_solution,
-    textbook_arnoldi,
-)
+import paramexpmv.reference
+from paramexpmv.reference import dense_coefficients, dense_solution, textbook_arnoldi
 from paramexpmv.toeplitz import MatrixPolynomial, assemble_lm
 
 
@@ -53,18 +49,8 @@ def test_dense_coefficients_sum_to_solution():
     np.testing.assert_allclose(series, ref, atol=1e-12)
 
 
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv("PARAMEXPMV_DENSE_CAP", "123")
-    assert dense_cap() == 123
-
-
-def test_dense_cap_default(monkeypatch):
-    monkeypatch.delenv("PARAMEXPMV_DENSE_CAP", raising=False)
-    assert dense_cap() == 2000
-
-
 def test_dense_solution_respects_cap(monkeypatch):
-    monkeypatch.setenv("PARAMEXPMV_DENSE_CAP", "3")
+    monkeypatch.setattr(paramexpmv.reference, "DENSE_CAP", 3)
     P = MatrixPolynomial([np.eye(5), np.eye(5)])
     with pytest.raises(ValueError):
         dense_solution(P, np.ones(5), 1.0, 0.1)

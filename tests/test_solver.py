@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import paramexpmv.arnoldi
 import paramexpmv.linalg
 import paramexpmv.matfun
 from paramexpmv import solver
@@ -79,9 +80,11 @@ def test_build_and_solve_never_call_arpack(monkeypatch, capsys):
 def test_scalar_shift_evaluation_is_exponential():
     P = MatrixPolynomial([np.zeros((1, 1)), np.ones((1, 1))])
     S = build(P, np.ones(1), 20)
-    for eps in (0.3, 1.0, -0.7):
-        u = S.evaluate(1.0, eps)
-        assert u[0] == pytest.approx(np.exp(eps), rel=1e-10)
+    # a finite t <= 0 is allowed too
+    for t in (1.0, 0.0, -0.5):
+        for eps in (0.3, 1.0, -0.7):
+            u = S.evaluate(t, eps)
+            assert u[0] == pytest.approx(np.exp(t * eps), rel=1e-10)
 
 
 def test_solution_matches_dense_oracle():
@@ -190,8 +193,9 @@ def test_evaluate_matches_horner(complex_rows, x):
     eps = x / S.gamma
     for k in (1, S.k_max // 2, S.k_max):
         ref = horner(rows[:k], S.gamma * eps)
-        u = S.evaluate(t, eps, k)
+        u = solver._power_sum(rows[:k], S.gamma * eps)
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
+    np.testing.assert_array_equal(S.evaluate(t, eps), u)
 
 
 @pytest.mark.parametrize("t", [0.01, 0.5])
@@ -235,6 +239,18 @@ def test_non_finite_eps_is_rejected(eps, monkeypatch):
     P, u0 = gen_advdiff1(20, 1e-3)
     with pytest.raises(ValueError, match="eps must be finite"):
         solve_adaptive(P, u0, [(0.5, 1e-2), (0.5, eps)], tol=1e-8)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_t_is_rejected(t):
+    # t = inf used to reach phi_columns and warn about inf * 0 before failing
+    S = build(*gen_advdiff1(20, 1e-3), 10)
+    calls = [lambda: S.evaluate(t, 1e-2), lambda: S.coefficients(t),
+             lambda: S.aposteriori_krylov(t, 1e-2), lambda: S.error_report(t, 1e-2),
+             lambda: apriori_bounds(S.bounds, t, 1e-2, 5, 1, 1.0)]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be finite"):
+            call()
 
 
 def test_k_max_and_degree_bookkeeping():
@@ -414,10 +430,20 @@ def test_solve_adaptive_respects_p_max():
     assert res.solution.p <= 6
 
 
-def test_solve_adaptive_validates_arguments():
+def test_solve_adaptive_validates_arguments(monkeypatch):
+    def no_step(self):
+        raise AssertionError("Arnoldi step taken")
+
+    monkeypatch.setattr(paramexpmv.arnoldi.InfiniteArnoldi, "step", no_step)
     P = MatrixPolynomial([np.eye(2), np.eye(2)])
     with pytest.raises(ValueError):
         solve_adaptive(P, np.ones(2), [(1.0, 0.1)], tol=-1.0)
+    for p_max in (0, -3):
+        with pytest.raises(ValueError, match="p_max"):
+            solve_adaptive(P, np.ones(2), [(1.0, 0.1)], tol=1e-8, p_max=p_max)
+    for t in (-1.0, 0.0, math.inf):
+        with pytest.raises(ValueError, match="t must be"):
+            solve_adaptive(P, np.ones(2), [(1.0, 0.1), (t, 0.1)], tol=1e-8)
 
 
 def test_gamma_override():
