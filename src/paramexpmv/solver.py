@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,9 +103,7 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     (its sharper variant when N = 1) at k = 1 + N(p-1) retained
     coefficients. Computed in log space; overflow yields +inf.
     """
-    _check_t(t)
-    if not t > 0:
-        raise ValueError(f"t must be positive, got {t}")
+    _check_positive_t(t)
     _check_eps(eps)
     if p < 2:
         raise ValueError("a priori bounds require p >= 2")
@@ -136,9 +135,8 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
         truncation = _exp_or_inf(log_trunc)
     else:
         c2 = ae ** N * math.e * N * t * B.a
-        log_c1 = (
-            math.copysign(1.0, ae - 1.0) * math.log(ae) if ae != 1.0 else 0.0
-        ) + t * (B.mu0 + math.e * N * B.a) + c2 - 1.0 + math.log(u0_norm)
+        log_c1 = (abs(math.log(ae)) + t * (B.mu0 + math.e * N * B.a) + c2 - 1.0
+                  + math.log(u0_norm))
         q = k // N
         truncation = 0.0
         for ell in range(N):
@@ -211,7 +209,13 @@ class ParameterizedSolution:
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
         """First k expansion coefficients at time t, shape (k, n); k defaults to k_max."""
-        k = self.k_max if k is None else k
+        if k is None:
+            k = self.k_max
+        else:
+            try:
+                k = operator.index(k)
+            except TypeError:
+                raise ValueError(f"k must be an integer, got {k!r}") from None
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         C = self._scaled_coefficients(t)[:k]
@@ -244,17 +248,19 @@ class ParameterizedSolution:
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
         (Saad, SINUM 1992). The estimate keeps the leading term,
         t beta h_{p+1,p} (e_p^T phi_1(tH_p) e_1) q_{p+1}, and contracts all
-        1+Np blocks of q_{p+1} against the parameter powers; the blocks
-        past k_max are the leading part of the series tail, so truncation
-        is covered too. Zero on lucky breakdown (the decomposition is then
-        exact).
+        1+Np blocks of q_{p+1} against the parameter powers, with the kernel
+        of `evaluate`: one BLAS product per overflow-safe block of powers.
+        The blocks past k_max are the leading part of the series tail, so
+        truncation is covered too. t must be finite and positive. Zero on
+        lucky breakdown (the decomposition is then exact).
         """
+        _check_positive_t(t)
         _check_eps(eps)
         K = self.decomposition
         if K.breakdown:
             return 0.0
         s1 = self._at(t).s1
-        v = _horner(K.residual_vector.reshape(-1, self.n), self.gamma * eps)
+        v = _power_sum(K.residual_vector.reshape(-1, self.n), self.gamma * eps)
         return float(abs(t * K.beta * K.residual_norm * s1) * np.linalg.norm(v))
 
     def error_report(self, t: float, eps) -> ErrorReport:
@@ -278,6 +284,12 @@ class ParameterizedSolution:
 def _check_t(t) -> None:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+
+
+def _check_positive_t(t) -> None:
+    _check_t(t)
+    if not t > 0:
+        raise ValueError(f"t must be positive, got {t}")
 
 
 def _check_eps(eps) -> None:
@@ -309,14 +321,6 @@ def _power_sum(C: np.ndarray, x) -> np.ndarray:
         else:
             s = block.T @ powers[:len(block)]
         u = s if u is None else s + powers[b] * u
-    return u
-
-
-def _horner(C: np.ndarray, x) -> np.ndarray:
-    """sum_l x^l C[l] over the rows of C by Horner's rule."""
-    u = C[-1].astype(np.result_type(C.dtype, type(x)))
-    for ell in range(len(C) - 2, -1, -1):
-        u = C[ell] + x * u
     return u
 
 
@@ -372,9 +376,7 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, compl
     if p_max < 1:
         raise ValueError(f"p_max must be at least 1, got {p_max}")
     for t, eps in targets:
-        _check_t(t)
-        if not t > 0:
-            raise ValueError(f"t must be positive, got {t}")
+        _check_positive_t(t)
         _check_eps(eps)
     gamma, scaled, bounds = _prepare(P, gamma)
     it = InfiniteArnoldi(scaled, u0)

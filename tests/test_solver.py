@@ -11,7 +11,7 @@ import paramexpmv.linalg
 import paramexpmv.matfun
 from paramexpmv import solver
 from paramexpmv.cli import main
-from paramexpmv.problems import gen_advdiff1
+from paramexpmv.problems import gen_advdiff1, gen_advdiff2
 from paramexpmv.reference import dense_coefficients, dense_solution
 from paramexpmv.solver import (
     BoundInputs,
@@ -176,17 +176,25 @@ def horner(C, x):
     return u
 
 
+def horner_problem(name):
+    if name == "advdiff1":
+        return build(*gen_advdiff1(30, 1e-3), 25)
+    if name == "advdiff2":
+        return build(*gen_advdiff2(40, 3e-4, 2e2), 30)
+    rng = np.random.default_rng(21)
+    mats = [0.4 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+            for _ in range(3)]
+    return build(MatrixPolynomial(mats), rng.standard_normal(6), 15)
+
+
+# x = gamma * eps, so x = 0.5 is the |gamma eps| <= 1 case and 50 the >> 1 case
+HORNER_X = [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j]
+
+
 @pytest.mark.parametrize("complex_rows", [False, True])
-@pytest.mark.parametrize("x", [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j])
+@pytest.mark.parametrize("x", HORNER_X)
 def test_evaluate_matches_horner(complex_rows, x):
-    # x = gamma * eps, so x = 0.5 is the |gamma eps| <= 1 case and 50 the >> 1 case
-    if complex_rows:
-        rng = np.random.default_rng(21)
-        mats = [0.4 * (rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
-                for _ in range(3)]
-        S = build(MatrixPolynomial(mats), rng.standard_normal(6), 15)
-    else:
-        S = build(*gen_advdiff1(30, 1e-3), 25)
+    S = horner_problem("complex" if complex_rows else "advdiff1")
     t = 0.6
     rows = S._scaled_coefficients(t)
     assert np.iscomplexobj(rows) == complex_rows
@@ -196,6 +204,20 @@ def test_evaluate_matches_horner(complex_rows, x):
         u = solver._power_sum(rows[:k], S.gamma * eps)
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
     np.testing.assert_array_equal(S.evaluate(t, eps), u)
+
+
+@pytest.mark.parametrize("name", ["advdiff1", "advdiff2", "complex"])
+@pytest.mark.parametrize("x", HORNER_X)
+def test_aposteriori_estimate_matches_horner(name, x):
+    # the estimate contracts the 1+Np blocks of q_{p+1} with the evaluate kernel
+    S = horner_problem(name)
+    K = S.decomposition
+    assert not K.breakdown
+    t, eps = 0.6, x / S.gamma
+    v = horner(K.residual_vector.reshape(-1, S.n), x)
+    ref = abs(t * K.beta * K.residual_norm * S._at(t).s1) * np.linalg.norm(v)
+    assert ref > 0.0
+    assert abs(S.aposteriori_krylov(t, eps) - ref) <= 1e-13 * ref
 
 
 @pytest.mark.parametrize("t", [0.01, 0.5])
@@ -239,6 +261,33 @@ def test_non_finite_eps_is_rejected(eps, monkeypatch):
     P, u0 = gen_advdiff1(20, 1e-3)
     with pytest.raises(ValueError, match="eps must be finite"):
         solve_adaptive(P, u0, [(0.5, 1e-2), (0.5, eps)], tol=1e-8)
+
+
+def breakdown_solution():
+    # diagonal invariant subspace: exact after one step
+    P = MatrixPolynomial([np.diag([2.0, 3.0]), np.zeros((2, 2))])
+    S = build(P, np.array([1.0, 0.0]), 5)
+    assert S.decomposition.breakdown
+    return S
+
+
+@pytest.mark.parametrize("call, match", [
+    # p = 1 skips the a priori bounds, breakdown skips the per-t record
+    (lambda: build(*gen_advdiff1(20, 3e-4), 10).with_p(1).error_report(-1.0, 1e-2),
+     "t must be positive"),
+    (lambda: breakdown_solution().aposteriori_krylov(math.inf, 0.1), "t must be finite"),
+    (lambda: breakdown_solution().error_report(-2.0, 0.1), "t must be positive"),
+], ids=["p1-error-report", "breakdown-estimate", "breakdown-error-report"])
+def test_estimate_checks_t_before_shortcuts(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_coefficients_rejects_non_integer_k():
+    S = build(*gen_advdiff1(20, 3e-4), 10)
+    with pytest.raises(ValueError, match="k must be an integer, got 2.5"):
+        S.coefficients(0.5, 2.5)
+    np.testing.assert_array_equal(S.coefficients(0.5, np.int64(3)), S.coefficients(0.5, 3))
 
 
 @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
@@ -397,11 +446,7 @@ def test_error_report_fields():
 
 
 def test_breakdown_estimate_is_zero():
-    # diagonal invariant subspace: exact after one step
-    P = MatrixPolynomial([np.diag([2.0, 3.0]), np.zeros((2, 2))])
-    u0 = np.array([1.0, 0.0])
-    S = build(P, u0, 5)
-    assert S.decomposition.breakdown
+    S = breakdown_solution()
     assert S.aposteriori_krylov(1.0, 0.1) == 0.0
     assert S.evaluate(1.0, 0.5)[0] == pytest.approx(np.exp(2.0), rel=1e-12)
 
