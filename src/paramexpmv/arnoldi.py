@@ -15,6 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import _as_int
 from .toeplitz import MatrixPolynomial, structured_matvec
 
 #: Relative residual below which an iteration is declared a lucky breakdown.
@@ -87,16 +88,15 @@ class StaircaseBasis:
             h[a:a + B.shape[1]] = B.T @ yc[:B.shape[0]]
         return h.conj()
 
-    def subtract(self, y: np.ndarray, h: np.ndarray) -> None:
-        """y -= Q_m h in place, with m = len(h)."""
-        for a, B in self._blocks(len(h)):
-            y[:B.shape[0]] -= B @ h[a:a + B.shape[1]]
+    def accumulate(self, y: np.ndarray, w: np.ndarray) -> None:
+        """y += Q_m w in place, with m = len(w)."""
+        for a, B in self._blocks(len(w)):
+            y[:B.shape[0]] += B @ w[a:a + B.shape[1]]
 
     def combine(self, w: np.ndarray) -> np.ndarray:
         """Q_m w with m = len(w) >= 1; the result has column m-1's length."""
         out = np.zeros(self.length(len(w) - 1), dtype=np.result_type(self.dtype, w.dtype))
-        for a, B in self._blocks(len(w)):
-            out[:B.shape[0]] += B @ w[a:a + B.shape[1]]
+        self.accumulate(out, w)
         return out
 
     def dense(self, m: int) -> np.ndarray:
@@ -152,15 +152,9 @@ class KrylovDecomposition:
         """Read-only nonzero prefix of the basis vector q_{p+1}, or None on breakdown."""
         return None if self.breakdown else self.staircase.column(self.p)
 
-    def combine(self, w: np.ndarray) -> np.ndarray:
-        """Q_p w over the joint nonzero rows of q_1..q_p, without forming the basis."""
-        w = np.asarray(w)
-        if w.shape != (self.p,):
-            raise ValueError(f"w must have shape ({self.p},), got {w.shape}")
-        return self.staircase.combine(w)
-
     def truncate(self, p: int) -> "KrylovDecomposition":
         """Decomposition after only the first p steps (shares storage)."""
+        p = _as_int("p", p)
         if p == self.p:
             return self
         if not 1 <= p < self.p:
@@ -228,9 +222,9 @@ class InfiniteArnoldi:
 
         # CGS, unconditionally repeated once (CGS2)
         h = self._basis.project(y, ell)
-        self._basis.subtract(y, h)
+        self._basis.accumulate(y, -h)
         g = self._basis.project(y, ell)
-        self._basis.subtract(y, g)
+        self._basis.accumulate(y, -g)
         h += g
 
         alpha = float(np.linalg.norm(y))
@@ -260,6 +254,7 @@ class InfiniteArnoldi:
 
 def run_arnoldi(P: MatrixPolynomial, u0, p: int) -> KrylovDecomposition:
     """Run p Arnoldi steps (fewer on lucky breakdown)."""
+    p = _as_int("p", p)
     if p < 1:
         raise ValueError("p must be at least 1")
     it = InfiniteArnoldi(P, u0)

@@ -3,10 +3,14 @@
 Sparse matrices are scipy CSR arrays in canonical form (sorted indices,
 duplicates merged); vectors and small dense matrices are plain numpy arrays.
 Real and complex scalars are both supported. The solver's norm data come
-from the O(nnz) bounds; the Lanczos estimators are standalone utilities.
+from the O(nnz) bounds, each coefficient's `norm_bound` computed once per
+polynomial and shared by γ and the a priori bounds; the Lanczos estimators
+are standalone utilities.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 import scipy.sparse as sp
@@ -30,6 +34,14 @@ class NormEstimateError(RuntimeError):
         )
         self.iterations = iterations
         self.last_estimate = last_estimate
+
+
+def _as_int(name: str, value) -> int:
+    """value as an int (numpy integers included); ValueError naming it otherwise."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_csr(A) -> sp.csr_array:

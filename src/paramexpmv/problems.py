@@ -13,7 +13,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import as_csr, load_matrix, load_vector, save_matrix, save_vector
+from .linalg import _as_int, as_csr, load_matrix, load_vector, save_matrix, save_vector
 from .toeplitz import MatrixPolynomial
 
 
@@ -125,11 +125,13 @@ def generate(name: str, parameters: dict) -> tuple[MatrixPolynomial, np.ndarray]
     if missing:
         raise ValueError(f"problem '{name}' requires parameters {missing}")
     args = [parameters[arg] for arg in arg_names]
-    return fn(int(args[0]), *map(float, args[1:]))
+    return fn(_as_int(arg_names[0], args[0]), *map(float, args[1:]))
 
 
 def load_problem(matrix_paths, u0_path) -> tuple[MatrixPolynomial, np.ndarray]:
     """Read coefficient matrices (degree order) and a start vector from files."""
+    if not matrix_paths:
+        raise ValueError("at least one coefficient file is required")
     mats = []
     for path in matrix_paths:
         if not os.path.exists(path):

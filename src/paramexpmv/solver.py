@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .arnoldi import InfiniteArnoldi, KrylovDecomposition, run_arnoldi
-from .linalg import log_norm_bound, norm_bound
+from .linalg import _as_int, log_norm_bound
 from .matfun import phi_columns
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
@@ -51,7 +50,7 @@ class BoundInputs:
 
     @classmethod
     def from_polynomial(cls, P: MatrixPolynomial) -> "BoundInputs":
-        norms = [norm_bound(C) for C in P.coeffs]
+        norms = P._norm_bounds
         mu0 = log_norm_bound(P.coeffs[0])
         tail = norms[1:]
         return cls(
@@ -202,20 +201,14 @@ class ParameterizedSolution:
         """All k_max coefficient blocks of the scaled problem, shape (k_max, n)."""
         rec = self._at(t)
         if rec.rows is None:
-            rows = self.decomposition.combine(rec.w).reshape(-1, self.n)[:self.k_max]
+            rows = self.decomposition.staircase.combine(rec.w).reshape(-1, self.n)
             rows.flags.writeable = False
             rec.rows = rows
         return rec.rows
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
         """First k expansion coefficients at time t, shape (k, n); k defaults to k_max."""
-        if k is None:
-            k = self.k_max
-        else:
-            try:
-                k = operator.index(k)
-            except TypeError:
-                raise ValueError(f"k must be an integer, got {k!r}") from None
+        k = self.k_max if k is None else _as_int("k", k)
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         C = self._scaled_coefficients(t)[:k]
@@ -373,6 +366,7 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, compl
         raise ValueError("at least one (t, eps) target is required")
     if not (tol > 0):
         raise ValueError("tol must be positive")
+    p_max = _as_int("p_max", p_max)
     if p_max < 1:
         raise ValueError(f"p_max must be at least 1, got {p_max}")
     for t, eps in targets:

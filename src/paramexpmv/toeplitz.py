@@ -7,6 +7,8 @@ assembly here exists as a test oracle and dense-reference substrate.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -35,6 +37,11 @@ class MatrixPolynomial:
         self.coeffs = mats
         self.dim = n
         self.degree = len(mats) - 1
+
+    @cached_property
+    def _norm_bounds(self) -> tuple[float, ...]:
+        """`norm_bound` of each coefficient, computed once, on first use."""
+        return tuple(norm_bound(C) for C in self.coeffs)
 
     @property
     def dtype(self):
@@ -102,5 +109,5 @@ def structured_matvec(P: MatrixPolynomial, x: np.ndarray) -> np.ndarray:
 
 def heuristic_gamma(P: MatrixPolynomial) -> float:
     """Balancing parameter max_l ||A_l||^(1/l) over l >= 1 (1 if that set is empty/zero)."""
-    roots = [norm_bound(C) ** (1.0 / l) for l, C in enumerate(P.coeffs[1:], start=1)]
+    roots = [b ** (1.0 / l) for l, b in enumerate(P._norm_bounds[1:], start=1)]
     return max(roots, default=0.0) or 1.0

@@ -181,7 +181,7 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     np.testing.assert_allclose(L @ Qfull[:, :d.p], Qfull @ d.H[:Q.shape[1]], atol=1e-12)
     np.testing.assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
     w = rng.standard_normal(d.p)
-    c = d.combine(w)
+    c = d.staircase.combine(w)
     np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -169,6 +170,18 @@ def test_non_finite_data_is_usage_error(tmp_path, capsys):
     A0[2, 3] = np.nan
     manifest = write_problem(tmp_path / "nan", "advdiff1-nan",
                              MatrixPolynomial([A0, P.coeffs[1]]), u0, {})
+    rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_empty_coefficient_list_is_usage_error(tmp_path, capsys):
+    P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
+    manifest = write_problem(tmp_path / "empty", "advdiff1", P, u0, {})
+    data = json.loads(open(manifest).read())
+    data["paths"]["coefficients"] = []
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
     rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")

@@ -112,6 +112,19 @@ def test_generate_registry_dispatch():
         generate("advdiff1", {"n": 20})
 
 
+@pytest.mark.parametrize("name, params", [
+    ("wave", {"points": 3.7, "gamma1": 1.0}),
+    ("wave", {"points": 4.0, "gamma1": 1.0}),
+    ("advdiff1", {"n": 20.5, "a": 1e-3}),
+    ("advdiff2", {"n": "20", "a": 1e-3, "b": 1.0}),
+], ids=["wave-3.7", "wave-4.0", "advdiff1-20.5", "advdiff2-str"])
+def test_generate_rejects_non_integer_size(name, params):
+    size = "points" if name == "wave" else "n"
+    with pytest.raises(ValueError, match=f"{size} must be an integer"):
+        generate(name, params)
+    assert generate("advdiff1", {"n": np.int64(20), "a": 1e-3})[0].dim == 20
+
+
 def test_generators_registry_names():
     assert set(GENERATORS) == {"advdiff1", "advdiff2", "wave"}
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import paramexpmv.arnoldi
 import paramexpmv.linalg
 import paramexpmv.matfun
+import paramexpmv.toeplitz
 from paramexpmv import solver
 from paramexpmv.cli import main
 from paramexpmv.problems import gen_advdiff1, gen_advdiff2
@@ -489,6 +490,50 @@ def test_solve_adaptive_validates_arguments(monkeypatch):
     for t in (-1.0, 0.0, math.inf):
         with pytest.raises(ValueError, match="t must be"):
             solve_adaptive(P, np.ones(2), [(1.0, 0.1), (t, 0.1)], tol=1e-8)
+
+
+@pytest.mark.parametrize("value", [7.5, 7.0, "7"], ids=["7.5", "7.0", "str"])
+@pytest.mark.parametrize("call", [
+    lambda P, u0, v: paramexpmv.arnoldi.run_arnoldi(P, u0, v),
+    lambda P, u0, v: build(P, u0, v),
+    lambda P, u0, v: solve_adaptive(P, u0, [(1.0, 0.1)], tol=1e-8, p_max=v),
+], ids=["run_arnoldi-p", "build-p", "solve_adaptive-p_max"])
+def test_step_counts_must_be_integers(call, value, monkeypatch):
+    # p = 2.5 used to run 3 steps, and p_max = 7.5 to stop at p = 8
+    def no_step(self):
+        raise AssertionError("Arnoldi step taken")
+
+    monkeypatch.setattr(paramexpmv.arnoldi.InfiniteArnoldi, "step", no_step)
+    P = MatrixPolynomial([np.eye(2), np.eye(2)])
+    with pytest.raises(ValueError, match=r"p(_max)? must be an integer"):
+        call(P, np.ones(2), value)
+
+
+def test_with_p_rejects_non_integer_p():
+    S = build(*gen_advdiff1(20, 3e-4), 10)
+    with pytest.raises(ValueError, match="p must be an integer, got 2.5"):
+        S.with_p(2.5)
+    assert S.with_p(np.int64(4)).p == 4
+
+
+@pytest.mark.parametrize("entry", [
+    lambda P, u0: build(P, u0, 10),
+    lambda P, u0: solve_adaptive(P, u0, [(0.1, 1e-3)], tol=1e-8, p_max=20),
+], ids=["build", "solve_adaptive"])
+def test_norm_bounds_computed_once_per_polynomial(entry, monkeypatch):
+    # gamma and the bound inputs share one norm_bound per coefficient
+    calls = []
+    norm_bound = paramexpmv.linalg.norm_bound
+
+    def counting(A):
+        calls.append(A)
+        return norm_bound(A)
+
+    for module in (paramexpmv.toeplitz, solver):
+        monkeypatch.setattr(module, "norm_bound", counting, raising=False)
+    P, u0 = gen_advdiff2(30, 3e-4, 2e2)
+    entry(P, u0)
+    assert len(calls) == P.degree + 1
 
 
 def test_gamma_override():
