@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -249,12 +249,33 @@ class ParameterizedSolution:
         """
         _check_positive_t(t)
         _check_eps(eps)
-        K = self.decomposition
-        if K.breakdown:
+        if self.decomposition.breakdown:
             return 0.0
-        s1 = self._at(t).s1
-        v = _power_sum(K.residual_vector.reshape(-1, self.n), self.gamma * eps)
-        return float(abs(t * K.beta * K.residual_norm * s1) * np.linalg.norm(v))
+        return float(self._t_factor(t) * self._eps_factor(eps))
+
+    def _t_factor(self, t: float):
+        """|t beta h_{p+1,p} e_p^T phi_1(tH_p) e_1|: the part of the estimate set by t."""
+        K = self.decomposition
+        return abs(t * K.beta * K.residual_norm * self._at(t).s1)
+
+    def _eps_factor(self, eps):
+        """||sum_l (gamma eps)^l q_{p+1,l}||: the part of the estimate set by eps."""
+        q = self.decomposition.residual_vector.reshape(-1, self.n)
+        return np.linalg.norm(_power_sum(q, self.gamma * eps))
+
+    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> list[float]:
+        """`aposteriori_krylov` at each valid target, bit for bit, from one
+        t-factor per distinct t and one eps-factor per distinct eps.
+
+        Values are keyed with their type: a real and a complex eps of equal
+        value take different kernel paths, which may differ in the last bit.
+        """
+        if self.decomposition.breakdown:
+            return [0.0] * len(targets)
+        keys = [((type(t), t), (type(eps), eps)) for t, eps in targets]
+        t_part = {kt: self._t_factor(kt[1]) for kt in dict.fromkeys(kt for kt, _ in keys)}
+        eps_part = {ke: self._eps_factor(ke[1]) for ke in dict.fromkeys(ke for _, ke in keys)}
+        return [float(t_part[kt] * eps_part[ke]) for kt, ke in keys]
 
     def error_report(self, t: float, eps) -> ErrorReport:
         """Full error report at (t, eps): a priori bounds plus the estimate.
@@ -262,15 +283,18 @@ class ParameterizedSolution:
         ``total_estimate`` is the a posteriori estimate alone; the rigorous
         but pessimistic a priori bounds stay in their own fields.
         """
+        return self._report(t, eps, self.aposteriori_krylov(t, eps))
+
+    def _report(self, t: float, eps, estimate: float) -> ErrorReport:
+        """The report at (t, eps) around its a posteriori estimate."""
         if self.p >= 2:
             kry, trunc, total = self.apriori(t, eps)
         else:
             kry = trunc = total = math.inf
-        post = self.aposteriori_krylov(t, eps)
         return ErrorReport(
             t=t, eps=eps,
             apriori_krylov=kry, apriori_truncation=trunc, apriori_total=total,
-            aposteriori_krylov=post, total_estimate=post,
+            aposteriori_krylov=estimate, total_estimate=estimate,
         )
 
 
@@ -352,16 +376,20 @@ class AdaptiveResult:
         return self.solution.p
 
 
-def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, complex]],
+def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, complex]],
                    tol: float, p_max: int = DEFAULT_P_MAX,
                    gamma: float | None = None) -> AdaptiveResult:
     """Iterate until the error estimate at every target drops below tol.
 
     Estimates are evaluated every `DEFAULT_CHECK_INTERVAL` steps, on
-    breakdown and at p_max (each needs a small dense exponential per t).
-    gamma is as in `build`. Returns a best-effort result with
-    ``converged=False`` if p_max is reached first.
+    breakdown and at p_max. A check costs one small dense exponential per
+    distinct t and one contraction of q_{p+1} per distinct eps, however the
+    targets pair them; a priori bounds are computed only for the returned
+    reports. targets may be any iterable of (t, eps) pairs. gamma is as in
+    `build`. Returns a best-effort result with ``converged=False`` if p_max
+    is reached first.
     """
+    targets = tuple(targets)
     if not targets:
         raise ValueError("at least one (t, eps) target is required")
     if not (tol > 0):
@@ -379,10 +407,9 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Sequence[tuple[float, compl
         at_cap = it.p >= p_max
         if it.breakdown or at_cap or it.p % DEFAULT_CHECK_INTERVAL == 0:
             S = ParameterizedSolution(it.decomposition(), P, scaled, gamma, bounds)
-            reports = tuple(S.error_report(t, e) for t, e in targets)
-            worst = max(r.total_estimate for r in reports)
-            if worst <= tol:
-                return AdaptiveResult(S, reports, True)
-            if it.breakdown or at_cap:
-                # breakdown: the decomposition is exact, no further progress possible
-                return AdaptiveResult(S, reports, False)
+            estimates = S._estimates(targets)
+            converged = max(estimates) <= tol
+            # breakdown: the decomposition is exact, no further progress possible
+            if converged or it.breakdown or at_cap:
+                reports = tuple(S._report(t, e, est) for (t, e), est in zip(targets, estimates))
+                return AdaptiveResult(S, reports, converged)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -334,14 +335,21 @@ def test_scaling_invariance_of_solution():
     np.testing.assert_allclose(S2.evaluate(0.7, 0.15), ref, atol=1e-9)
 
 
-def test_apriori_bounds_dominate_error():
+@pytest.mark.parametrize("gamma, a1_scale", [(1.0, 1.0), (None, 1.0), (None, 8.0)],
+                         ids=["gamma1", "default-gamma", "default-gamma-A1x8"])
+def test_apriori_bounds_dominate_error(gamma, a1_scale):
+    # A1 scaled by 8 moves the default gamma from 0.9-1.7 to 7.3-13.4 on these draws
     rng = np.random.default_rng(6)
     for trial in range(5):
         n = int(rng.integers(2, 6))
         N = int(rng.integers(1, 3))
         P = random_poly(rng, n, N, scale=0.3)
+        A0, A1, *rest = P.coeffs
+        P = MatrixPolynomial([A0, a1_scale * A1, *rest])
         u0 = rng.standard_normal(n)
-        S = build(P, u0, 10, gamma=1.0)
+        S = build(P, u0, 10, gamma=gamma)
+        if a1_scale > 1.0:
+            assert 5.0 < S.gamma < 20.0
         t = 0.6
         for eps in (0.1, 0.4):
             ref = dense_solution(P, u0, t, eps)
@@ -490,6 +498,99 @@ def test_solve_adaptive_validates_arguments(monkeypatch):
     for t in (-1.0, 0.0, math.inf):
         with pytest.raises(ValueError, match="t must be"):
             solve_adaptive(P, np.ones(2), [(1.0, 0.1), (t, 0.1)], tol=1e-8)
+
+
+def test_solve_adaptive_accepts_one_shot_iterable():
+    # the input checks must not use up a one-shot iterable of targets
+    rng = np.random.default_rng(13)
+    P = random_poly(rng, 5, 1, scale=0.4)
+    u0 = rng.standard_normal(5)
+    got = solve_adaptive(P, u0, ((t, 0.1) for t in (0.5, 1.0)), tol=1e-8)
+    ref = solve_adaptive(P, u0, [(0.5, 0.1), (1.0, 0.1)], tol=1e-8)
+    assert got.converged and len(got.reports) == 2
+    assert (got.p, got.reports) == (ref.p, ref.reports)
+
+
+def bits(report):
+    """Every ErrorReport field with its type, exact to the last bit."""
+    return tuple(repr(v) for v in dataclasses.astuple(report))
+
+
+def adaptive_by_target(P, u0, targets, tol, p_max):
+    """`solve_adaptive` as a loop over truncations of one build, with a full
+    `error_report` per target at every check: the reference for the batched
+    checks of the library."""
+    S = build(P, u0, p_max)
+    for p in range(1, S.p + 1):
+        if p % solver.DEFAULT_CHECK_INTERVAL and p < S.p:
+            continue
+        Sp = S.with_p(p)
+        reports = [Sp.error_report(t, e) for t, e in targets]
+        converged = max(r.total_estimate for r in reports) <= tol
+        if converged or p == S.p:
+            return p, converged, reports
+
+
+ADAPTIVE_CASES = {
+    # name: (N, eps values, tol, p_max); every t and eps repeats in the target grid
+    "N1-real": (1, (0.1, -0.2, 0.35), 1e-9, 200),
+    "N2-complex": (2, (0.1, 0.1 + 0j, -0.2 + 0.1j, 0.35j), 1e-9, 200),
+    "N1-complex-cap": (1, (0.1 + 0j, 0.1, 0.3 - 0.2j), 1e-30, 12),
+    "N2-real-cap": (2, (0.0, 0.1, -0.3), 1e-30, 7),
+}
+
+
+@pytest.mark.parametrize("case", [*ADAPTIVE_CASES, "breakdown"])
+def test_batched_checks_match_per_target_loop(case):
+    if case == "breakdown":
+        P = MatrixPolynomial([np.diag([2.0, 3.0]), np.zeros((2, 2))])
+        u0 = np.array([1.0, 0.0])
+        targets = [(t, e) for t in (0.5, 1.0, 0.5) for e in (0.1, 0.1 + 0j, 0.1)]
+        tol, p_max = 1e-8, 5
+    else:
+        N, epss, tol, p_max = ADAPTIVE_CASES[case]
+        rng = np.random.default_rng(14 + N)
+        P = random_poly(rng, 5, N, scale=0.5)
+        u0 = rng.standard_normal(5)
+        targets = [(t, e) for t in (0.3, 1.0, 0.3, 0.7) for e in epss]
+    p, converged, reports = adaptive_by_target(P, u0, targets, tol, p_max)
+    res = solve_adaptive(P, u0, targets, tol=tol, p_max=p_max)
+    assert (res.p, res.converged) == (p, converged)
+    assert [bits(r) for r in res.reports] == [bits(r) for r in reports]
+    if case == "breakdown":
+        assert res.solution.decomposition.breakdown and p == 1
+    elif "cap" in case:
+        assert not converged and p == p_max
+    else:
+        assert converged and p > solver.DEFAULT_CHECK_INTERVAL
+
+
+def test_adaptive_check_work(monkeypatch):
+    # per check: one small exponential per distinct t and one contraction of
+    # q_{p+1} per distinct eps; a priori bounds only for the returned reports
+    counts = {"expm": 0, "apriori_bounds": 0, "_power_sum": 0}
+
+    def counting(module, name):
+        f = getattr(module, name)
+
+        def wrapped(*args):
+            counts[name] += 1
+            return f(*args)
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(paramexpmv.matfun, "expm")
+    counting(solver, "apriori_bounds")
+    counting(solver, "_power_sum")
+    rng = np.random.default_rng(15)
+    P = random_poly(rng, 5, 2, scale=0.4)
+    ts, epss = (0.2, 0.5, 1.0), (0.0, 0.05, 0.1 + 0.1j, 0.2)
+    targets = [(t, e) for t in ts for e in epss]
+    res = solve_adaptive(P, rng.standard_normal(5), targets, tol=1e-10)
+    assert res.converged and not res.solution.decomposition.breakdown
+    checks = -(-res.p // solver.DEFAULT_CHECK_INTERVAL)
+    assert checks >= 3
+    assert counts == {"expm": checks * len(ts), "apriori_bounds": len(targets),
+                      "_power_sum": checks * len(epss)}
 
 
 @pytest.mark.parametrize("value", [7.5, 7.0, "7"], ids=["7.5", "7.0", "str"])
