@@ -70,8 +70,6 @@ def _load_problem(args):
             return problems.load_manifest(args.manifest)
         except (OSError, ValueError, KeyError) as exc:
             raise InputError(f"cannot load manifest: {exc}") from exc
-    if not args.problem:
-        raise InputError("either --problem or --manifest is required")
     P, u0, _ = _generate(args)
     return P, u0
 
@@ -87,10 +85,14 @@ def _generate(args):
         raise InputError(str(exc)) from exc
 
 
-def _add_problem_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--problem", choices=sorted(problems.GENERATORS),
-                   help="built-in problem name")
-    p.add_argument("--manifest", help="JSON manifest of a file-based problem")
+def _add_problem_args(p: argparse.ArgumentParser, manifest: bool = True) -> None:
+    """--problem and its parameters; with manifest, --manifest as the one
+    alternative to --problem."""
+    source = p.add_mutually_exclusive_group(required=True) if manifest else p
+    source.add_argument("--problem", choices=sorted(problems.GENERATORS),
+                        required=not manifest, help="built-in problem name")
+    if manifest:
+        source.add_argument("--manifest", help="JSON manifest of a file-based problem")
     p.add_argument("--n", type=int, help="grid size (advdiff problems)")
     p.add_argument("--a", type=float, help="diffusion parameter")
     p.add_argument("--b", type=float, help="feedback parameter (advdiff2)")
@@ -109,8 +111,6 @@ def _write_lines(path, lines) -> None:
 
 def cmd_solve(args) -> int:
     P, u0 = _load_problem(args)
-    if args.t is None:
-        raise InputError("--t is required")
     ts = _parse_reals(args.t, "--t")
     epss = _parse_list(args.eps) if args.eps else [0.0]
     targets = [(t, e) for t in ts for e in epss]
@@ -166,8 +166,6 @@ def _convergence_rows(P, u0, t, epss, p_max, gamma, refs):
 
 def cmd_convergence(args) -> int:
     P, u0 = _load_problem(args)
-    if args.t is None:
-        raise InputError("--t is required")
     ts = _parse_reals(args.t, "--t")
     if len(ts) != 1:
         raise InputError("convergence studies take exactly one --t value")
@@ -214,10 +212,6 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if not args.problem:
-        raise InputError("--problem is required")
-    if not args.out:
-        raise InputError("--out is required")
     P, u0, params = _generate(args)
     try:
         manifest = problems.write_problem(args.out, args.problem, P, u0, params)
@@ -237,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="solve at (t, eps) targets")
     _add_problem_args(ps)
     ps.add_argument("--gamma", help="scaling parameter (default: heuristic; 1 turns scaling off)")
-    ps.add_argument("--t", help="comma-separated time values")
+    ps.add_argument("--t", required=True, help="comma-separated time values")
     ps.add_argument("--eps", help="comma-separated parameter values (a+bi for complex)")
     ps.add_argument("--tol", type=float, help="adaptive tolerance")
     ps.add_argument("--p", type=int, help="fixed iteration count")
@@ -250,15 +244,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_problem_args(pc)
     pc.add_argument("--gamma", help="comma-separated scaling parameters to compare "
                     "(default: heuristic; 1 turns scaling off)")
-    pc.add_argument("--t", help="time value")
+    pc.add_argument("--t", required=True, help="time value")
     pc.add_argument("--eps", help="comma-separated parameter values")
     pc.add_argument("--p-max", type=int, default=60, help="largest iteration count")
     pc.add_argument("--out", help="CSV output path (default stdout)")
     pc.set_defaults(func=cmd_convergence)
 
     pg = sub.add_parser("generate", help="write a built-in problem to files")
-    _add_problem_args(pg)
-    pg.add_argument("--out", help="output directory")
+    _add_problem_args(pg, manifest=False)
+    pg.add_argument("--out", required=True, help="output directory")
     pg.set_defaults(func=cmd_generate)
 
     return parser

@@ -90,8 +90,8 @@ def _log_geometric_factor(ae: float, k: int) -> float:
         return math.log(k)
     if ae < 1.0:
         return math.log1p(-ae ** (2 * k)) - math.log1p(-ae * ae)
-    # ae^(2k) overflows here, so factor it out
-    return 2 * k * math.log(ae) + math.log1p(-ae ** (-2 * k)) - math.log(ae * ae - 1.0)
+    # ae^2 and ae^(2k) may overflow here, so factor them out
+    return 2 * (k - 1) * math.log(ae) + math.log1p(-ae ** (-2 * k)) - math.log1p(-ae ** -2)
 
 
 def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
@@ -100,7 +100,9 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
 
     Evaluates the superlinear Krylov bound and the series-remainder bound
     (its sharper variant when N = 1) at k = 1 + N(p-1) retained
-    coefficients. Computed in log space; overflow yields +inf.
+    coefficients. Every intermediate that can leave the float range is taken
+    in log space, so the bounds are defined for every finite eps and every N:
+    overflow yields +inf, never an exception.
     """
     _check_positive_t(t)
     _check_eps(eps)
@@ -122,26 +124,27 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
         )
         krylov = _exp_or_inf(log_krylov)
 
-    if ae == 0.0 or N == 0 or B.a == 0.0:
+    if ae == 0.0 or N == 0 or t * B.a == 0.0:
         truncation = 0.0
     elif N == 1:
         log_trunc = (
             t * (B.mu0 + ae * B.a)
-            + k * math.log(ae * t * B.a)
+            + k * (math.log(ae) + math.log(t * B.a))
             - math.lgamma(k + 1)
             + math.log(u0_norm)
         )
         truncation = _exp_or_inf(log_trunc)
     else:
-        c2 = ae ** N * math.e * N * t * B.a
+        # c2 = |eps|^N e N t a; the product is kept where |eps|^N is finite,
+        # because exp(log c2) loses digits in proportion to c2
+        log_c2 = N * math.log(ae) + 1.0 + math.log(N * t * B.a)
+        c2 = ae ** N * math.e * N * t * B.a if N * math.log(ae) < 709.0 else _exp_or_inf(log_c2)
         log_c1 = (abs(math.log(ae)) + t * (B.mu0 + math.e * N * B.a) + c2 - 1.0
                   + math.log(u0_norm))
         q = k // N
         truncation = 0.0
         for ell in range(N):
-            truncation += _exp_or_inf(
-                log_c1 + (q + ell) * math.log(c2) - math.lgamma(q + ell)
-            )
+            truncation += _exp_or_inf(log_c1 + (q + ell) * log_c2 - math.lgamma(q + ell))
 
     total = krylov + truncation
     return krylov, truncation, total
@@ -149,11 +152,12 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
 
 @dataclass
 class _AtTime:
-    """What a solution knows at one t, as read-only arrays: w = beta exp(tH_p)e_1,
-    s1 = e_p^T phi_1(tH_p)e_1, and the k_max scaled coefficient rows once asked for."""
+    """What a solution knows at one t: w = beta exp(tH_p)e_1 (read-only), the
+    estimate's t-factor |t beta h_{p+1,p} e_p^T phi_1(tH_p)e_1|, and the k_max
+    scaled coefficient rows (read-only) once asked for."""
 
     w: np.ndarray
-    s1: complex
+    t_factor: float
     rows: np.ndarray | None = None
 
 
@@ -191,7 +195,7 @@ class ParameterizedSolution:
             _check_t(t)
             K = self.decomposition
             e1, phi1 = phi_columns(K.hessenberg, t)
-            rec = _AtTime(e1 * K.beta, phi1[-1])
+            rec = _AtTime(e1 * K.beta, abs(t * K.beta * K.residual_norm * phi1[-1]))
             rec.w.flags.writeable = False
             if len(self._at_time) < MAX_CACHED_TIMES:
                 self._at_time[t] = rec
@@ -235,46 +239,37 @@ class ParameterizedSolution:
         return apriori_bounds(self.bounds, t, eps, self.p, self.degree, self.decomposition.beta)
 
     def aposteriori_krylov(self, t: float, eps) -> float:
-        """A posteriori estimate of the error at (t, eps).
+        """A posteriori estimate of the error at (t, eps): the leading term of
+        the Krylov error expansion, computed by `_estimates`. t must be finite
+        and positive. Zero on lucky breakdown."""
+        _check_positive_t(t)
+        _check_eps(eps)
+        return self._estimates([(t, eps)])[0]
+
+    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> list[float]:
+        """The a posteriori estimate at each valid target; the only code that
+        computes it.
 
         The Arnoldi error of the parameter-free problem expands as
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
-        (Saad, SINUM 1992). The estimate keeps the leading term,
-        t beta h_{p+1,p} (e_p^T phi_1(tH_p) e_1) q_{p+1}, and contracts all
-        1+Np blocks of q_{p+1} against the parameter powers, with the kernel
-        of `evaluate`: one BLAS product per overflow-safe block of powers.
-        The blocks past k_max are the leading part of the series tail, so
-        truncation is covered too. t must be finite and positive. Zero on
-        lucky breakdown (the decomposition is then exact).
-        """
-        _check_positive_t(t)
-        _check_eps(eps)
-        if self.decomposition.breakdown:
-            return 0.0
-        return float(self._t_factor(t) * self._eps_factor(eps))
-
-    def _t_factor(self, t: float):
-        """|t beta h_{p+1,p} e_p^T phi_1(tH_p) e_1|: the part of the estimate set by t."""
-        K = self.decomposition
-        return abs(t * K.beta * K.residual_norm * self._at(t).s1)
-
-    def _eps_factor(self, eps):
-        """||sum_l (gamma eps)^l q_{p+1,l}||: the part of the estimate set by eps."""
-        q = self.decomposition.residual_vector.reshape(-1, self.n)
-        return np.linalg.norm(_power_sum(q, self.gamma * eps))
-
-    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> list[float]:
-        """`aposteriori_krylov` at each valid target, bit for bit, from one
-        t-factor per distinct t and one eps-factor per distinct eps.
+        (Saad, SINUM 1992). The estimate keeps the leading term: the t-factor
+        |t beta h_{p+1,p} e_p^T phi_1(tH_p) e_1| of the per-t record times the
+        eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||, which contracts all 1+Np
+        blocks of q_{p+1} with the kernel of `evaluate`. The blocks past k_max
+        are the leading part of the series tail, so truncation is covered too.
+        Each distinct t and eps is worked out once. Zero on lucky breakdown
+        (the decomposition is then exact).
 
         Values are keyed with their type: a real and a complex eps of equal
         value take different kernel paths, which may differ in the last bit.
         """
         if self.decomposition.breakdown:
             return [0.0] * len(targets)
+        q = self.decomposition.residual_vector.reshape(-1, self.n)
         keys = [((type(t), t), (type(eps), eps)) for t, eps in targets]
-        t_part = {kt: self._t_factor(kt[1]) for kt in dict.fromkeys(kt for kt, _ in keys)}
-        eps_part = {ke: self._eps_factor(ke[1]) for ke in dict.fromkeys(ke for _, ke in keys)}
+        t_part = {kt: self._at(kt[1]).t_factor for kt in dict.fromkeys(kt for kt, _ in keys)}
+        eps_part = {ke: np.linalg.norm(_power_sum(q, self.gamma * ke[1]))
+                    for ke in dict.fromkeys(ke for _, ke in keys)}
         return [float(t_part[kt] * eps_part[ke]) for kt, ke in keys]
 
     def error_report(self, t: float, eps) -> ErrorReport:

@@ -232,6 +232,32 @@ def test_generate_requires_out():
     assert main(["generate", "--problem", "advdiff1", "--n", "10", "--a", "1e-3"]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+def test_exactly_one_problem_source(command, tmp_path, capsys):
+    out = tmp_path / "prob"
+    manifest = str(out / "manifest.json")
+    assert main(["generate", "--problem", "advdiff1", "--n", "10", "--a", "1e-3",
+                 "--out", str(out)]) == 0
+    argv = [command, "--t", "0.5", "--p-max", "5", "--out", str(tmp_path / "x.csv")]
+    if command == "solve":
+        argv += ["--p", "5"]
+    assert main(argv + ["--manifest", manifest]) == 0
+    capsys.readouterr()
+    # two sources, or none, are usage errors
+    assert main(argv + ["--manifest", manifest, "--problem", "advdiff2", "--n", "12"]) == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+    assert main(argv) == 2
+    assert "one of the arguments --problem --manifest is required" in capsys.readouterr().err
+
+
+def test_generate_rejects_manifest(tmp_path, capsys):
+    assert main(["generate", "--problem", "advdiff1", "--n", "10", "--a", "1e-3",
+                 "--manifest", "m.json", "--out", str(tmp_path / "prob")]) == 2
+    assert "unrecognized arguments: --manifest" in capsys.readouterr().err
+    assert not (tmp_path / "prob").exists()
+    assert main(["generate", "--n", "10", "--a", "1e-3", "--out", str(tmp_path / "prob")]) == 2
+
+
 def test_no_scaling_flag(tmp_path):
     out = tmp_path / "ns.csv"
     rc = main(["solve", "--problem", "advdiff1", "--n", "20", "--a", "1e-3",

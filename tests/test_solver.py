@@ -148,6 +148,9 @@ def test_one_small_exponential_per_t(monkeypatch):
     calls = []
     expm = paramexpmv.matfun.expm
     monkeypatch.setattr(paramexpmv.matfun, "expm", lambda A: calls.append(A.shape) or expm(A))
+    sums = []
+    power_sum = solver._power_sum
+    monkeypatch.setattr(solver, "_power_sum", lambda C, x: sums.append(x) or power_sum(C, x))
     rng = np.random.default_rng(12)
     S = build(random_poly(rng, 4, 2, scale=0.4), rng.standard_normal(4), 12)
     for eps in np.linspace(0.0, 0.3, 10):
@@ -158,6 +161,15 @@ def test_one_small_exponential_per_t(monkeypatch):
     S.error_report(0.7, 0.1)
     S.with_p(S.p).evaluate(0.5, 0.1)
     assert len(calls) == 3
+    # after evaluate at t, the estimate and the report each make one
+    # contraction of q_{p+1} and no exponential
+    S.evaluate(0.9, 0.2)
+    calls.clear()
+    sums.clear()
+    S.aposteriori_krylov(0.9, 0.2)
+    assert (calls, len(sums)) == ([], 1)
+    S.error_report(0.9, 0.2)
+    assert (calls, len(sums)) == ([], 2)
 
 
 def test_complex_eps_evaluation():
@@ -217,7 +229,9 @@ def test_aposteriori_estimate_matches_horner(name, x):
     assert not K.breakdown
     t, eps = 0.6, x / S.gamma
     v = horner(K.residual_vector.reshape(-1, S.n), x)
-    ref = abs(t * K.beta * K.residual_norm * S._at(t).s1) * np.linalg.norm(v)
+    # the t-factor from the decomposition, not from the per-t record under test
+    s1 = paramexpmv.matfun.phi_columns(K.hessenberg, t)[1][-1]
+    ref = abs(t * K.beta * K.residual_norm * s1) * np.linalg.norm(v)
     assert ref > 0.0
     assert abs(S.aposteriori_krylov(t, eps) - ref) <= 1e-13 * ref
 
@@ -390,6 +404,36 @@ def test_apriori_bounds_finite_or_inf_beyond_unit_eps():
         assert rep.apriori_total == math.inf
         res = solve_adaptive(P, u0, [(0.5, 10.0)], tol=1e-300)
     assert not res.converged and res.p == 200
+
+
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_apriori_bounds_defined_at_extreme_eps(N):
+    # |eps|^N, |eps|^2, c2 = |eps|^N e N t a and |eps| t a under- or overflow
+    # a float at these values; the bounds stay in log space and never raise
+    B = BoundInputs(1, 0.5, 0, 1)
+    last = 0.0
+    for ae in (5e-324, 1e-300, 1e-170, 0.5, 5.0, 1e154, 1e160, 1e300):
+        for eps in (ae, -ae, 1j * ae):
+            bounds = apriori_bounds(B, 0.5, eps, 5, N, 1.0)
+            assert all(b >= 0.0 for b in bounds), (ae, bounds)
+        assert bounds[0] >= last
+        last = bounds[0]
+
+
+def test_apriori_bounds_through_the_api_at_extreme_eps():
+    P, u0 = gen_advdiff2(30, 3e-4, 2e2)
+    S = build(P, u0, 10)
+    assert S.error_report(0.5, 1e-200).apriori_truncation == 0.0
+    with np.errstate(over="ignore"):
+        assert S.error_report(0.5, 1e200).apriori_total == math.inf
+    res = solve_adaptive(P, u0, [(0.5, 1e-200)], tol=1e-8, p_max=10)
+    assert res.reports[0].apriori_total > 0.0
+    # degree 0 at an |eps| whose square overflows: the bound must not read 0.0
+    rng = np.random.default_rng(0)
+    A, v = rng.standard_normal((8, 8)), rng.standard_normal(8)
+    S = build(MatrixPolynomial([A]), v, 3)
+    err = np.linalg.norm(S.evaluate(0.5, 1e160) - dense_solution(MatrixPolynomial([A]), v, 0.5, 0.0))
+    assert S.error_report(0.5, 1e160).apriori_total >= err > 0.3
 
 
 def test_truncation_bound_zero_for_zero_eps():
