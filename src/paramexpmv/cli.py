@@ -124,12 +124,10 @@ def cmd_solve(args) -> int:
                                        p_max=args.p_max, gamma=gamma)
         S, reports = result.solution, result.reports
         converged = result.converged
-    elif args.p is not None:
+    else:
         S = solver.build(P, u0, args.p, gamma=gamma)
         reports = [S.error_report(t, e) for t, e in targets]
         converged = True
-    else:
-        raise InputError("either --tol or --p is required")
 
     lines = ["t,eps,p_used,aposteriori_estimate,apriori_total"]
     for r in reports:
@@ -233,8 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--gamma", help="scaling parameter (default: heuristic; 1 turns scaling off)")
     ps.add_argument("--t", required=True, help="comma-separated time values")
     ps.add_argument("--eps", help="comma-separated parameter values (a+bi for complex)")
-    ps.add_argument("--tol", type=float, help="adaptive tolerance")
-    ps.add_argument("--p", type=int, help="fixed iteration count")
+    steps = ps.add_mutually_exclusive_group(required=True)
+    steps.add_argument("--tol", type=float, help="adaptive tolerance")
+    steps.add_argument("--p", type=int, help="fixed iteration count")
     ps.add_argument("--p-max", type=int, default=solver.DEFAULT_P_MAX, help="iteration cap")
     ps.add_argument("--out", help="CSV output path (default stdout)")
     ps.add_argument("--save-solutions", help="directory for solution vectors")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -244,11 +244,11 @@ class ParameterizedSolution:
         and positive. Zero on lucky breakdown."""
         _check_positive_t(t)
         _check_eps(eps)
-        return self._estimates([(t, eps)])[0]
+        return next(self._estimates([(t, eps)]))
 
-    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> list[float]:
-        """The a posteriori estimate at each valid target; the only code that
-        computes it.
+    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> Iterator[float]:
+        """The a posteriori estimate at each valid target, yielded in order;
+        the only code that computes it.
 
         The Arnoldi error of the parameter-free problem expands as
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
@@ -257,20 +257,30 @@ class ParameterizedSolution:
         eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||, which contracts all 1+Np
         blocks of q_{p+1} with the kernel of `evaluate`. The blocks past k_max
         are the leading part of the series tail, so truncation is covered too.
-        Each distinct t and eps is worked out once. Zero on lucky breakdown
-        (the decomposition is then exact).
+        Each distinct t and eps is worked out once, when first reached, so a
+        caller that stops early pays only for the targets it has read. An
+        estimate beyond the float range reads +inf, never NaN. Zero on lucky
+        breakdown (the decomposition is then exact).
 
         Values are keyed with their type: a real and a complex eps of equal
         value take different kernel paths, which may differ in the last bit.
         """
         if self.decomposition.breakdown:
-            return [0.0] * len(targets)
+            for _ in targets:
+                yield 0.0
+            return
         q = self.decomposition.residual_vector.reshape(-1, self.n)
-        keys = [((type(t), t), (type(eps), eps)) for t, eps in targets]
-        t_part = {kt: self._at(kt[1]).t_factor for kt in dict.fromkeys(kt for kt, _ in keys)}
-        eps_part = {ke: np.linalg.norm(_power_sum(q, self.gamma * ke[1]))
-                    for ke in dict.fromkeys(ke for _, ke in keys)}
-        return [float(t_part[kt] * eps_part[ke]) for kt, ke in keys]
+        t_part, eps_part = {}, {}
+        for t, eps in targets:
+            kt, ke = (type(t), t), (type(eps), eps)
+            if kt not in t_part:
+                t_part[kt] = float(self._at(t).t_factor)
+            if ke not in eps_part:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    eps_part[ke] = float(np.linalg.norm(_power_sum(q, self.gamma * eps)))
+            # NaN from an overflowed contraction, or 0 * inf, reads +inf
+            est = t_part[kt] * eps_part[ke]
+            yield math.inf if math.isnan(est) else est
 
     def error_report(self, t: float, eps) -> ErrorReport:
         """Full error report at (t, eps): a priori bounds plus the estimate.
@@ -377,12 +387,14 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
     """Iterate until the error estimate at every target drops below tol.
 
     Estimates are evaluated every `DEFAULT_CHECK_INTERVAL` steps, on
-    breakdown and at p_max. A check costs one small dense exponential per
-    distinct t and one contraction of q_{p+1} per distinct eps, however the
-    targets pair them; a priori bounds are computed only for the returned
-    reports. targets may be any iterable of (t, eps) pairs. gamma is as in
-    `build`. Returns a best-effort result with ``converged=False`` if p_max
-    is reached first.
+    breakdown and at p_max. A check costs at most one small dense
+    exponential per distinct t and one contraction of q_{p+1} per distinct
+    eps, however the targets pair them. The first and the last check cover
+    every target; a check in between stops at the first target above tol,
+    trying first the worst target of the first check. A priori bounds are
+    computed only for the returned reports. targets may be any iterable of
+    (t, eps) pairs. gamma is as in `build`. Returns a best-effort result
+    with ``converged=False`` if p_max is reached first.
     """
     targets = tuple(targets)
     if not targets:
@@ -397,14 +409,27 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
         _check_eps(eps)
     gamma, scaled, bounds = _prepare(P, gamma)
     it = InfiniteArnoldi(scaled, u0)
+    worst = None  # index of the largest estimate at the first check
     while True:
         it.step()
         at_cap = it.p >= p_max
-        if it.breakdown or at_cap or it.p % DEFAULT_CHECK_INTERVAL == 0:
-            S = ParameterizedSolution(it.decomposition(), P, scaled, gamma, bounds)
-            estimates = S._estimates(targets)
+        if not (it.breakdown or at_cap or it.p % DEFAULT_CHECK_INTERVAL == 0):
+            continue
+        S = ParameterizedSolution(it.decomposition(), P, scaled, gamma, bounds)
+        # breakdown: the decomposition is exact, no further progress possible
+        final = it.breakdown or at_cap
+        partial = worst is not None and not final
+        order = list(range(len(targets)))
+        if worst is not None:
+            order.insert(0, order.pop(worst))
+        estimates = [0.0] * len(targets)
+        for i, est in zip(order, S._estimates([targets[i] for i in order])):
+            estimates[i] = est
+            if partial and est > tol:
+                break
+        else:
             converged = max(estimates) <= tol
-            # breakdown: the decomposition is exact, no further progress possible
-            if converged or it.breakdown or at_cap:
+            if converged or final:
                 reports = tuple(S._report(t, e, est) for (t, e), est in zip(targets, estimates))
                 return AdaptiveResult(S, reports, converged)
+            worst = estimates.index(max(estimates))

@@ -98,13 +98,20 @@ def structured_matvec(P: MatrixPolynomial, x: np.ndarray) -> np.ndarray:
             f"block-size mismatch: vector length {x.size} is not a positive "
             f"multiple of block size {n}"
         )
-    j = x.size // n
-    N = P.degree
-    X = x.reshape(j, n)
-    Y = np.zeros((j + N, n), dtype=np.result_type(P.dtype, x.dtype))
+    y = np.zeros(x.size + n * P.degree, dtype=np.result_type(P.dtype, x.dtype))
+    structured_matvec_add(P, x, y)
+    return y
+
+
+def structured_matvec_add(P: MatrixPolynomial, x: np.ndarray, y: np.ndarray) -> None:
+    """y += L x in place, for contiguous x of j whole blocks and y of exactly
+    j+N blocks; unchecked, for callers that keep their own output buffer."""
+    n = P.dim
+    X = x.reshape(-1, n)
+    Y = y.reshape(-1, n)
+    j = len(X)
     for i, A in enumerate(P.coeffs):
         Y[i:i + j] += (A @ X.T).T
-    return Y.ravel()
 
 
 def heuristic_gamma(P: MatrixPolynomial) -> float:

@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paramexpmv.arnoldi import BREAKDOWN_TOL, CHUNK, InfiniteArnoldi, run_arnoldi
+from paramexpmv.problems import gen_advdiff1
 from paramexpmv.reference import textbook_arnoldi
+from paramexpmv.solver import build
 from paramexpmv.toeplitz import MatrixPolynomial, assemble_lm
 
 
@@ -172,7 +174,8 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     if complex_coeffs:
         mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
     P = MatrixPolynomial([0.5 * A for A in mats])
-    d = run_arnoldi(P, rng.standard_normal(n), p)
+    u0 = rng.standard_normal(n)
+    d = run_arnoldi(P, u0, p)
     Q = d.Q
     assert Q.shape[1] == d.ncols
     L = assemble_lm(P, 1 + N * d.p).toarray()
@@ -180,6 +183,12 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     Qfull[:Q.shape[0]] = Q
     np.testing.assert_allclose(L @ Qfull[:, :d.p], Qfull @ d.H[:Q.shape[1]], atol=1e-12)
     np.testing.assert_allclose(Q.conj().T @ Q, np.eye(Q.shape[1]), atol=1e-12)
+    v0 = np.zeros(L.shape[0])
+    v0[:n] = u0
+    ref = textbook_arnoldi(L, v0, d.p)
+    assert ref.breakdown == d.breakdown
+    np.testing.assert_allclose(d.H, ref.H, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(Qfull, ref.Q, rtol=0, atol=1e-12)
     w = rng.standard_normal(d.p)
     c = d.staircase.combine(w)
     np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
@@ -217,3 +226,35 @@ def test_overflowing_matvec_raises():
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="step 1"):
         it.step()
     assert it.p == 0 and not it.breakdown
+
+
+@pytest.mark.parametrize("exponent", [332, 465], ids=["1e100", "1e140"])
+def test_huge_operator_scales_exactly(exponent):
+    # scaling every coefficient by c = 2**exponent scales every rounding step
+    # exactly, so H scales by c and Q is unchanged, bit for bit. The pending
+    # vector has norm ~c and is scaled to unit norm before its product, or
+    # the product's squared norm (~c**4) would overflow
+    rng = np.random.default_rng(12)
+    mats = [rng.standard_normal((5, 5)) for _ in range(3)]
+    u0 = rng.standard_normal(5)
+    c = 2.0 ** exponent
+    d = run_arnoldi(MatrixPolynomial(mats), u0, 2 * CHUNK + 3)
+    d_c = run_arnoldi(MatrixPolynomial([c * A for A in mats]), u0, 2 * CHUNK + 3)
+    assert not d_c.breakdown and d_c.p == d.p
+    assert np.abs(d_c.H).max() > 1e100
+    np.testing.assert_array_equal(d_c.H, c * d.H)
+    np.testing.assert_array_equal(d_c.Q, d.Q)
+
+
+def test_orthonormal_basis_at_scale():
+    # ||Q^H Q - I|| on an advdiff1 build of n = 2000, from the staircase kernel:
+    # row i of the Gram matrix is Q_{i+1}^H q_i, with no dense copy of Q.
+    # One Gram-Schmidt pass instead of two gives 5e-12 here
+    d = build(*gen_advdiff1(2000, 3e-4), 60).decomposition
+    m = d.ncols
+    G = np.zeros((m, m))
+    for i in range(m):
+        G[i, :i + 1] = d.staircase.project(d.staircase.column(i)[None, :], i + 1)[0]
+    G = np.tril(G) + np.tril(G, -1).T
+    assert np.linalg.norm(G - np.eye(m), 2) <= 1e-14
+

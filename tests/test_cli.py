@@ -89,6 +89,16 @@ def test_missing_t_is_usage_error():
                  "--p", "5"]) == 2
 
 
+@pytest.mark.parametrize("steps", [["--tol", "1e-8", "--p", "3"], []], ids=["both", "neither"])
+def test_solve_takes_exactly_one_of_tol_and_p(steps, capsys):
+    # --p used to be dropped silently when --tol was given too
+    assert main(["solve", "--problem", "advdiff1", "--n", "10", "--a", "1e-3",
+                 "--t", "0.5", *steps]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err and "--p" in captured.err
+    assert captured.out == ""
+
+
 def test_bad_scalar_is_usage_error():
     assert main(["solve", "--problem", "advdiff1", "--n", "10", "--a", "1e-3",
                  "--t", "abc", "--p", "5"]) == 2

@@ -436,6 +436,19 @@ def test_apriori_bounds_through_the_api_at_extreme_eps():
     assert S.error_report(0.5, 1e160).apriori_total >= err > 0.3
 
 
+def test_overflowing_estimate_reads_inf():
+    # the contraction of q_{p+1} overflows at |gamma eps| = 1e200: the estimate
+    # is +inf without a warning, also where the t-factor has underflowed to 0
+    # and the product 0 * inf would be NaN
+    P, u0 = gen_advdiff2(30, 3e-4, 2e2)
+    S = build(P, u0, 10)
+    assert S._at(1e-200).t_factor == 0.0
+    for t, eps in [(0.5, 1e200), (0.5, 1e200j), (1e-200, 1e200)]:
+        report = S.error_report(t, eps)
+        assert report.aposteriori_krylov == report.total_estimate == math.inf
+        assert report.apriori_total == math.inf
+
+
 def test_truncation_bound_zero_for_zero_eps():
     B = BoundInputs(alpha=1.0, beta=0.5, mu0=0.0, a=0.5)
     kry, trunc, total = apriori_bounds(B, 1.0, 0.0, 5, 1, 1.0)
@@ -610,8 +623,10 @@ def test_batched_checks_match_per_target_loop(case):
 
 
 def test_adaptive_check_work(monkeypatch):
-    # per check: one small exponential per distinct t and one contraction of
-    # q_{p+1} per distinct eps; a priori bounds only for the returned reports
+    # the first and the last check: one small exponential per distinct t and
+    # one contraction of q_{p+1} per distinct eps; every check between stops
+    # at the worst target of the first, which still fails: one of each.
+    # A priori bounds only for the returned reports
     counts = {"expm": 0, "apriori_bounds": 0, "_power_sum": 0}
 
     def counting(module, name):
@@ -633,8 +648,8 @@ def test_adaptive_check_work(monkeypatch):
     assert res.converged and not res.solution.decomposition.breakdown
     checks = -(-res.p // solver.DEFAULT_CHECK_INTERVAL)
     assert checks >= 3
-    assert counts == {"expm": checks * len(ts), "apriori_bounds": len(targets),
-                      "_power_sum": checks * len(epss)}
+    assert counts == {"expm": 2 * len(ts) + checks - 2, "apriori_bounds": len(targets),
+                      "_power_sum": 2 * len(epss) + checks - 2}
 
 
 @pytest.mark.parametrize("value", [7.5, 7.0, "7"], ids=["7.5", "7.0", "str"])
