@@ -32,8 +32,9 @@ from .toeplitz import MatrixPolynomial, structured_matvec_add
 #: Relative residual below which an iteration is declared a lucky breakdown.
 BREAKDOWN_TOL = 1e-14
 
-#: Basis columns per storage chunk. Each chunk is as tall as its last column,
-#: so larger chunks stream more zeros and smaller ones make more BLAS calls.
+#: Basis columns per storage chunk. Each chunk is allocated as tall as its
+#: last column, so larger chunks hold more zeros (and the last chunk more
+#: unused columns) and smaller ones make more BLAS calls.
 CHUNK = 16
 
 #: Rows per BLAS product over the basis. A slab of a full chunk (1 MiB of
@@ -49,7 +50,8 @@ class StaircaseBasis:
     allocated when its first column arrives and as tall as its last column.
     Chunks are never reallocated and stored columns never change, so views
     and readers of the first m columns stay valid while columns are appended.
-    Entries of a chunk below a column's prefix are zero.
+    Entries of a chunk below a column's prefix are zero; readers go through
+    `_blocks`, which leaves out of each slab the columns that end above it.
     """
 
     def __init__(self, n: int, N: int, dtype):
@@ -96,15 +98,21 @@ class StaircaseBasis:
         """(first column, first row, block) triples covering columns 0..m-1.
 
         Each chunk is cut to the prefix of its last column and into slabs of
-        at most `SLAB` rows.
+        at most `SLAB` rows. A slab starting at row r holds only the columns
+        whose prefix reaches row r, so the zeros below a column's prefix are
+        read only within the slab that holds its last stored row.
         """
         if not 0 <= m <= self._count:
             raise ValueError(f"{m} columns requested, {self._count} stored")
+        n, step = self.n, self.n * self.N
         for a in range(0, m, CHUNK):
             b = min(a + CHUNK, m)
             height = self.length(b - 1)
+            chunk = self._chunks[a // CHUNK]
             for r in range(0, height, SLAB):
-                yield a, r, self._chunks[a // CHUNK][r:min(r + SLAB, height), :b - a]
+                # first column c with length(c) = n + c*step > r
+                c = a if r < n else max(a, (r - n) // step + 1)
+                yield c, r, chunk[r:min(r + SLAB, height), c - a:b - a]
 
     def project(self, Y: np.ndarray, m: int) -> np.ndarray:
         """Q_m^H y for each row y of Y, shape (rows, m), over the first m columns.

@@ -330,10 +330,15 @@ def _power_sum(C: np.ndarray, x) -> np.ndarray:
     ax = abs(x)
     # |x|^b <= 1e300
     b = k if ax <= 1.0 else max(1, min(k, math.floor(300 / math.log10(ax))))
-    powers = np.cumprod(np.r_[1.0, np.full(b, x)])  # x^0 .. x^b
+    # x^0 .. x^b in double precision: b is chosen for the float64 range
+    powers = np.empty(b + 1, dtype=np.result_type(np.float64, x))
+    powers[0] = 1.0
+    powers[1:] = x
+    np.cumprod(powers, out=powers)
     split = np.iscomplexobj(powers) and not np.iscomplexobj(C)
     if split:
-        powers_ri = np.stack([powers.real, powers.imag], axis=1)
+        # (b+1, 2) C-ordered [Re, Im] rows, a view of the complex powers
+        powers_ri = powers.view(np.float64).reshape(-1, 2)
     u = None
     for start in range((k - 1) // b * b, -1, -b):
         block = C[start:start + b]

@@ -110,8 +110,11 @@ def structured_matvec_add(P: MatrixPolynomial, x: np.ndarray, y: np.ndarray) -> 
     X = x.reshape(-1, n)
     Y = y.reshape(-1, n)
     j = len(X)
+    # one C-ordered copy shared by all N+1 products; scipy would otherwise
+    # copy the F-ordered X.T afresh for each of them
+    XT = np.ascontiguousarray(X.T)
     for i, A in enumerate(P.coeffs):
-        Y[i:i + j] += (A @ X.T).T
+        Y[i:i + j] += (A @ XT).T
 
 
 def heuristic_gamma(P: MatrixPolynomial) -> float:

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paramexpmv.arnoldi import BREAKDOWN_TOL, CHUNK, InfiniteArnoldi, run_arnoldi
+import paramexpmv.arnoldi
+from paramexpmv.arnoldi import BREAKDOWN_TOL, CHUNK, InfiniteArnoldi, StaircaseBasis, run_arnoldi
 from paramexpmv.problems import gen_advdiff1
 from paramexpmv.reference import textbook_arnoldi
 from paramexpmv.solver import build
@@ -217,6 +218,56 @@ def test_basis_storage_near_staircase_floor():
     d = run_arnoldi(random_poly(rng, n, N), rng.standard_normal(n), p)
     floor = sum(n * (1 + j * N) for j in range(p + 1)) * d.Q.dtype.itemsize
     assert d.staircase.nbytes <= 1.5 * floor
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+@pytest.mark.parametrize("n", [3, 7, 11])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_staircase_blocks_cover_only_the_prefixes(N, n, dtype, monkeypatch):
+    # 7-row slabs cut every chunk of more than 7 rows, on a block boundary
+    # (n = 7) and off it
+    slab = 7
+    monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", slab)
+    rng = np.random.default_rng(100 * N + n)
+    basis = StaircaseBasis(n, N, dtype)
+    for j in range(2 * CHUNK + 5):
+        v = rng.standard_normal(basis.length(j)).astype(dtype)
+        if dtype == np.complex128:
+            v += 1j * rng.standard_normal(v.size)
+        basis.append(v)
+    itemsize = np.dtype(dtype).itemsize
+    for m in (1, CHUNK - 3, CHUNK, CHUNK + 1, basis.count):
+        height = basis.length(m - 1)
+        covered = np.zeros((height, m), dtype=int)
+        read = 0
+        for c, r, B in basis._blocks(m):
+            h, w = B.shape
+            covered[r:r + h, c:c + w] += 1
+            read += B.nbytes
+            # every column of a block has a stored row in the block's slab
+            assert r // slab * slab == r and h <= slab
+            assert all(basis.length(j) > r for j in range(c, c + w))
+        stored = np.arange(height)[:, None] < [basis.length(j) for j in range(m)]
+        np.testing.assert_array_equal(covered[stored], 1)
+        packed = sum(basis.length(j) for j in range(m)) * itemsize
+        assert read <= packed + m * slab * itemsize
+
+        Q = np.zeros((height, m), dtype=dtype)
+        for j in range(m):
+            Q[:basis.length(j), j] = basis.column(j)
+        np.testing.assert_array_equal(basis.dense(m), Q)
+
+        def close(x, ref):
+            assert np.linalg.norm(x - ref) <= 1e-15 * np.linalg.norm(ref)
+
+        Y = rng.standard_normal((2, height)) + 1j * rng.standard_normal((2, height))
+        close(basis.project(Y, m), Y @ Q.conj())
+        W = rng.standard_normal((2, m))
+        y = Y.copy()
+        basis.accumulate(y, W)
+        close(y, Y + W @ Q.T)
+        w = rng.standard_normal(m)
+        close(basis.combine(w), Q @ w)
 
 
 def test_overflowing_matvec_raises():

@@ -220,6 +220,64 @@ def test_evaluate_matches_horner(complex_rows, x):
     np.testing.assert_array_equal(S.evaluate(t, eps), u)
 
 
+def _power_sum_stacked(C, x):
+    """The former `_power_sum`: powers built by concatenation, and the
+    [Re, Im] matrix by stacking."""
+    k = len(C)
+    ax = abs(x)
+    b = k if ax <= 1.0 else max(1, min(k, math.floor(300 / math.log10(ax))))
+    powers = np.cumprod(np.r_[1.0, np.full(b, x)])
+    split = np.iscomplexobj(powers) and not np.iscomplexobj(C)
+    if split:
+        powers_ri = np.stack([powers.real, powers.imag], axis=1)
+    u = None
+    for start in range((k - 1) // b * b, -1, -b):
+        block = C[start:start + b]
+        if split:
+            s = (block.T @ powers_ri[:len(block)]).view(np.complex128)[:, 0]
+        else:
+            s = block.T @ powers[:len(block)]
+        u = s if u is None else s + powers[b] * u
+    return u
+
+
+# |x| <= 1 and |x| > 1 in every precision; |x| = 3 and 2.8 split k = 700 rows
+# into blocks (b < k)
+POWER_SUM_X = (
+    [cast(x) for x in (0.7, 1.7, 3.0, -3.0) for cast in (float, np.float32, np.float64)]
+    + [cast(x) for x in (-0.4 + 0.5j, 1.5 - 0.8j, -2.0 + 2.0j)
+       for cast in (complex, np.complex64, np.complex128)]
+)
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+@pytest.mark.parametrize("x", POWER_SUM_X, ids=lambda x: f"{type(x).__name__}({x})")
+def test_power_sum_bit_identical_to_stacked_powers(x, complex_rows):
+    # the powers are double precision whatever the precision of x: the
+    # reference gets x at the same value as a 64-bit number
+    rng = np.random.default_rng(3)
+    k, n = (700, 3) if abs(x) > 2 else (12, 5)
+    C = rng.standard_normal((k, n))
+    if complex_rows:
+        C = C + 1j * rng.standard_normal((k, n))
+    C *= (1.0 / abs(x)) ** np.arange(k)[:, None]
+    ref = _power_sum_stacked(C, np.complex128(x) if np.iscomplexobj(x) else np.float64(x))
+    u = solver._power_sum(C, x)
+    assert u.dtype == ref.dtype
+    np.testing.assert_array_equal(u, ref)
+
+
+def test_evaluate_at_single_precision_eps_is_finite():
+    # gamma * eps is a float32 for a float32 eps; its powers up to
+    # |gamma eps|^(k-1) = 12^38 used to overflow the float32 range to NaN
+    S = build(*gen_advdiff1(200, 3e-4), 40)
+    assert abs(S.gamma * 0.015) ** (S.k_max - 1) > float(np.finfo(np.float32).max)
+    for eps in (np.float32(0.015), np.complex64(0.015 + 0.002j)):
+        u = S.evaluate(0.5, eps)
+        ref = S.evaluate(0.5, complex(eps) if np.iscomplexobj(eps) else float(eps))
+        assert np.linalg.norm(u - ref) <= 1e-6 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("name", ["advdiff1", "advdiff2", "complex"])
 @pytest.mark.parametrize("x", HORNER_X)
 def test_aposteriori_estimate_matches_horner(name, x):

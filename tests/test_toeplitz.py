@@ -7,6 +7,7 @@ from paramexpmv.toeplitz import (
     assemble_lm,
     heuristic_gamma,
     structured_matvec,
+    structured_matvec_add,
 )
 
 
@@ -86,6 +87,26 @@ def test_structured_matvec_complex():
     xpad = np.zeros(12, dtype=complex)
     xpad[:6] = x
     np.testing.assert_allclose(y, L @ xpad, atol=1e-13)
+
+
+@pytest.mark.parametrize("complex_coeffs", [False, True])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_structured_matvec_add_bit_identical_to_per_product_transpose(N, complex_coeffs):
+    # sharing one C-ordered copy of X.T feeds every product the same numbers
+    rng = np.random.default_rng(10 * N + complex_coeffs)
+    n, j = 7, 4
+    mats = [rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5) for _ in range(N + 1)]
+    if complex_coeffs:
+        mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
+    P = MatrixPolynomial(mats)
+    for x in (rng.standard_normal(j * n), rng.standard_normal(n)):
+        y = rng.standard_normal((len(x) // n + N) * n).astype(P.dtype)
+        ref = y.copy()
+        X, Y = x.reshape(-1, n), ref.reshape(-1, n)
+        for i, A in enumerate(P.coeffs):
+            Y[i:i + len(X)] += (A @ X.T).T
+        structured_matvec_add(P, x, y)
+        np.testing.assert_array_equal(y, ref)
 
 
 def test_heuristic_gamma_value():
