@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -63,7 +63,8 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Bounds and estimates for one (t, eps) target."""
+    """Bounds and estimates for one (t, eps) target. t and eps are the Python
+    float and float or complex the arithmetic used, not the caller's objects."""
 
     t: float
     eps: complex
@@ -104,8 +105,7 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     in log space, so the bounds are defined for every finite eps and every N:
     overflow yields +inf, never an exception.
     """
-    _check_positive_t(t)
-    _check_eps(eps)
+    t, eps = _check_positive_t(t), _check_eps(eps)
     if p < 2:
         raise ValueError("a priori bounds require p >= 2")
     ae = abs(eps)
@@ -190,12 +190,12 @@ class ParameterizedSolution:
         )
 
     def _at(self, t: float) -> _AtTime:
+        t = _check_t(t)
         rec = self._at_time.get(t)
         if rec is None:
-            _check_t(t)
             K = self.decomposition
             e1, phi1 = phi_columns(K.hessenberg, t)
-            rec = _AtTime(e1 * K.beta, abs(t * K.beta * K.residual_norm * phi1[-1]))
+            rec = _AtTime(e1 * K.beta, float(abs(t * K.beta * K.residual_norm * phi1[-1])))
             rec.w.flags.writeable = False
             if len(self._at_time) < MAX_CACHED_TIMES:
                 self._at_time[t] = rec
@@ -231,8 +231,7 @@ class ParameterizedSolution:
         coefficient rows, plus coefficient synthesis on the first call at a
         new t.
         """
-        _check_eps(eps)
-        return _power_sum(self._scaled_coefficients(t), self.gamma * eps)
+        return _power_sum(self._scaled_coefficients(t), self.gamma * _check_eps(eps))
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -242,13 +241,12 @@ class ParameterizedSolution:
         """A posteriori estimate of the error at (t, eps): the leading term of
         the Krylov error expansion, computed by `_estimates`. t must be finite
         and positive. Zero on lucky breakdown."""
-        _check_positive_t(t)
-        _check_eps(eps)
-        return next(self._estimates([(t, eps)]))
+        return self._estimates([(_check_positive_t(t), _check_eps(eps))])[0]
 
-    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> Iterator[float]:
-        """The a posteriori estimate at each valid target, yielded in order;
-        the only code that computes it.
+    def _estimates(self, targets: Sequence[tuple[float, complex]]) -> list[float]:
+        """The a posteriori estimate at each target, in order; the only code
+        that computes it. Targets must have passed `_check_positive_t` and
+        `_check_eps`.
 
         The Arnoldi error of the parameter-free problem expands as
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
@@ -257,30 +255,27 @@ class ParameterizedSolution:
         eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||, which contracts all 1+Np
         blocks of q_{p+1} with the kernel of `evaluate`. The blocks past k_max
         are the leading part of the series tail, so truncation is covered too.
-        Each distinct t and eps is worked out once, when first reached, so a
-        caller that stops early pays only for the targets it has read. An
-        estimate beyond the float range reads +inf, never NaN. Zero on lucky
-        breakdown (the decomposition is then exact).
+        Each distinct eps is contracted once per call. An estimate beyond
+        the float range reads +inf, never NaN. Zero on lucky breakdown (the
+        decomposition is then exact).
 
-        Values are keyed with their type: a real and a complex eps of equal
-        value take different kernel paths, which may differ in the last bit.
+        eps values are keyed with their type: a real and a complex eps of
+        equal value take different kernel paths, which may differ in the last
+        bit.
         """
         if self.decomposition.breakdown:
-            for _ in targets:
-                yield 0.0
-            return
+            return [0.0] * len(targets)
         q = self.decomposition.residual_vector.reshape(-1, self.n)
-        t_part, eps_part = {}, {}
+        eps_part, estimates = {}, []
         for t, eps in targets:
-            kt, ke = (type(t), t), (type(eps), eps)
-            if kt not in t_part:
-                t_part[kt] = float(self._at(t).t_factor)
-            if ke not in eps_part:
+            key = (type(eps), eps)
+            if key not in eps_part:
                 with np.errstate(over="ignore", invalid="ignore"):
-                    eps_part[ke] = float(np.linalg.norm(_power_sum(q, self.gamma * eps)))
+                    eps_part[key] = float(np.linalg.norm(_power_sum(q, self.gamma * eps)))
             # NaN from an overflowed contraction, or 0 * inf, reads +inf
-            est = t_part[kt] * eps_part[ke]
-            yield math.inf if math.isnan(est) else est
+            est = self._at(t).t_factor * eps_part[key]
+            estimates.append(math.inf if math.isnan(est) else est)
+        return estimates
 
     def error_report(self, t: float, eps) -> ErrorReport:
         """Full error report at (t, eps): a priori bounds plus the estimate.
@@ -288,7 +283,8 @@ class ParameterizedSolution:
         ``total_estimate`` is the a posteriori estimate alone; the rigorous
         but pessimistic a priori bounds stay in their own fields.
         """
-        return self._report(t, eps, self.aposteriori_krylov(t, eps))
+        t, eps = _check_positive_t(t), _check_eps(eps)
+        return self._report(t, eps, self._estimates([(t, eps)])[0])
 
     def _report(self, t: float, eps, estimate: float) -> ErrorReport:
         """The report at (t, eps) around its a posteriori estimate."""
@@ -303,20 +299,25 @@ class ParameterizedSolution:
         )
 
 
-def _check_t(t) -> None:
+# The checks return Python numbers, so products and cache keys depend on the
+# value alone (gamma * eps is single precision for an np.float32 eps).
+def _check_t(t) -> float:
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
+    return float(t)
 
 
-def _check_positive_t(t) -> None:
-    _check_t(t)
+def _check_positive_t(t) -> float:
+    t = _check_t(t)
     if not t > 0:
         raise ValueError(f"t must be positive, got {t}")
+    return t
 
 
-def _check_eps(eps) -> None:
+def _check_eps(eps) -> float | complex:
     if not cmath.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
+    return complex(eps) if np.iscomplexobj(eps) else float(eps)
 
 
 def _power_sum(C: np.ndarray, x) -> np.ndarray:
@@ -392,16 +393,18 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
     """Iterate until the error estimate at every target drops below tol.
 
     Estimates are evaluated every `DEFAULT_CHECK_INTERVAL` steps, on
-    breakdown and at p_max. A check costs at most one small dense
-    exponential per distinct t and one contraction of q_{p+1} per distinct
-    eps, however the targets pair them. The first and the last check cover
-    every target; a check in between stops at the first target above tol,
-    trying first the worst target of the first check. A priori bounds are
-    computed only for the returned reports. targets may be any iterable of
-    (t, eps) pairs. gamma is as in `build`. Returns a best-effort result
-    with ``converged=False`` if p_max is reached first.
+    breakdown and at p_max. The first and the last check estimate every
+    target. A check in between probes the target that was worst at the last
+    full check and estimates every target only if that one is at most tol;
+    a full check that does not return picks the worst target again. A full
+    check makes one small dense exponential per distinct t (up to
+    `MAX_CACHED_TIMES`) and one contraction of q_{p+1} per distinct eps; a
+    probe makes one of each. A priori bounds are computed only for the
+    returned reports. targets may be any iterable of (t, eps) pairs. gamma
+    is as in `build`. Returns a best-effort result with ``converged=False``
+    if p_max is reached first.
     """
-    targets = tuple(targets)
+    targets = tuple((_check_positive_t(t), _check_eps(eps)) for t, eps in targets)
     if not targets:
         raise ValueError("at least one (t, eps) target is required")
     if not (tol > 0):
@@ -409,12 +412,9 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
     p_max = _as_int("p_max", p_max)
     if p_max < 1:
         raise ValueError(f"p_max must be at least 1, got {p_max}")
-    for t, eps in targets:
-        _check_positive_t(t)
-        _check_eps(eps)
     gamma, scaled, bounds = _prepare(P, gamma)
     it = InfiniteArnoldi(scaled, u0)
-    worst = None  # index of the largest estimate at the first check
+    worst = None  # index of the largest estimate at the last full check
     while True:
         it.step()
         at_cap = it.p >= p_max
@@ -423,18 +423,11 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
         S = ParameterizedSolution(it.decomposition(), P, scaled, gamma, bounds)
         # breakdown: the decomposition is exact, no further progress possible
         final = it.breakdown or at_cap
-        partial = worst is not None and not final
-        order = list(range(len(targets)))
-        if worst is not None:
-            order.insert(0, order.pop(worst))
-        estimates = [0.0] * len(targets)
-        for i, est in zip(order, S._estimates([targets[i] for i in order])):
-            estimates[i] = est
-            if partial and est > tol:
-                break
-        else:
-            converged = max(estimates) <= tol
-            if converged or final:
-                reports = tuple(S._report(t, e, est) for (t, e), est in zip(targets, estimates))
-                return AdaptiveResult(S, reports, converged)
-            worst = estimates.index(max(estimates))
+        if not final and worst is not None and S._estimates([targets[worst]])[0] > tol:
+            continue
+        estimates = S._estimates(targets)
+        converged = max(estimates) <= tol
+        if converged or final:
+            reports = tuple(S._report(t, e, est) for (t, e), est in zip(targets, estimates))
+            return AdaptiveResult(S, reports, converged)
+        worst = estimates.index(max(estimates))

@@ -172,6 +172,24 @@ def test_one_small_exponential_per_t(monkeypatch):
     assert (calls, len(sums)) == ([], 2)
 
 
+def test_per_t_records_stop_at_cap(monkeypatch):
+    # past MAX_CACHED_TIMES distinct t a solution keeps no record; each call
+    # at a further t recomputes it and answers as a fresh solution does
+    monkeypatch.setattr(solver, "MAX_CACHED_TIMES", 2)
+    P, u0 = gen_advdiff2(30, 3e-4, 2e2)
+    S = build(P, u0, 12)
+    for t in (0.1, 0.2, 0.4):
+        S.evaluate(t, 1e-3)
+    assert sorted(S._at_time) == [0.1, 0.2]
+    fresh = build(P, u0, 12)
+    for call in ("evaluate", "aposteriori_krylov"):
+        for eps in (1e-3, 2e-3 + 1e-3j):
+            ref = getattr(fresh, call)(0.4, eps)
+            for _ in range(2):
+                np.testing.assert_array_equal(getattr(S, call)(0.4, eps), ref)
+    assert sorted(S._at_time) == [0.1, 0.2]
+
+
 def test_complex_eps_evaluation():
     rng = np.random.default_rng(2)
     P = random_poly(rng, 4, 1, scale=0.4)
@@ -268,14 +286,22 @@ def test_power_sum_bit_identical_to_stacked_powers(x, complex_rows):
 
 
 def test_evaluate_at_single_precision_eps_is_finite():
-    # gamma * eps is a float32 for a float32 eps; its powers up to
-    # |gamma eps|^(k-1) = 12^38 used to overflow the float32 range to NaN
+    # t and eps enter the arithmetic and the per-t cache as Python numbers:
+    # a float32 gamma * eps would be rounded, and its powers up to
+    # |gamma eps|^(k-1) = 12^38 overflow the float32 range. Each call runs on
+    # a fresh solution, so its per-t record is made from the t passed.
     S = build(*gen_advdiff1(200, 3e-4), 40)
     assert abs(S.gamma * 0.015) ** (S.k_max - 1) > float(np.finfo(np.float32).max)
-    for eps in (np.float32(0.015), np.complex64(0.015 + 0.002j)):
-        u = S.evaluate(0.5, eps)
-        ref = S.evaluate(0.5, complex(eps) if np.iscomplexobj(eps) else float(eps))
-        assert np.linalg.norm(u - ref) <= 1e-6 * np.linalg.norm(ref)
+    for t, eps in [(0.5, np.float32(0.015)), (0.5, np.complex64(0.015 + 0.002j)),
+                   (np.float32(0.3), 0.015)]:
+        value = (float(t), complex(eps) if np.iscomplexobj(eps) else float(eps))
+        for call in ("evaluate", "aposteriori_krylov", "error_report"):
+            got = getattr(S.with_p(S.p), call)(t, eps)
+            ref = getattr(S.with_p(S.p), call)(*value)
+            if call == "error_report":
+                assert bits(got) == bits(ref)
+            else:
+                np.testing.assert_array_equal(got, ref)
 
 
 @pytest.mark.parametrize("name", ["advdiff1", "advdiff2", "complex"])
@@ -634,16 +660,18 @@ def bits(report):
 def adaptive_by_target(P, u0, targets, tol, p_max):
     """`solve_adaptive` as a loop over truncations of one build, with a full
     `error_report` per target at every check: the reference for the batched
-    checks of the library."""
+    checks of the library. Returns p, converged and the reports of every
+    check, the returned ones last."""
     S = build(P, u0, p_max)
+    history = []
     for p in range(1, S.p + 1):
         if p % solver.DEFAULT_CHECK_INTERVAL and p < S.p:
             continue
         Sp = S.with_p(p)
-        reports = [Sp.error_report(t, e) for t, e in targets]
-        converged = max(r.total_estimate for r in reports) <= tol
+        history.append([Sp.error_report(t, e) for t, e in targets])
+        converged = max(r.total_estimate for r in history[-1]) <= tol
         if converged or p == S.p:
-            return p, converged, reports
+            return p, converged, history
 
 
 ADAPTIVE_CASES = {
@@ -652,6 +680,9 @@ ADAPTIVE_CASES = {
     "N2-complex": (2, (0.1, 0.1 + 0j, -0.2 + 0.1j, 0.35j), 1e-9, 200),
     "N1-complex-cap": (1, (0.1 + 0j, 0.1, 0.3 - 0.2j), 1e-30, 12),
     "N2-real-cap": (2, (0.0, 0.1, -0.3), 1e-30, 7),
+    # from a seeded search: at p = 10 the worst target of the first check is
+    # below tol and another is above, so the loop picks a new worst target
+    "N2-retarget": (2, (0.02 + 0.44j, -0.38, -0.55), 1e-7, 200),
 }
 
 
@@ -668,10 +699,14 @@ def test_batched_checks_match_per_target_loop(case):
         P = random_poly(rng, 5, N, scale=0.5)
         u0 = rng.standard_normal(5)
         targets = [(t, e) for t in (0.3, 1.0, 0.3, 0.7) for e in epss]
-    p, converged, reports = adaptive_by_target(P, u0, targets, tol, p_max)
+    p, converged, history = adaptive_by_target(P, u0, targets, tol, p_max)
     res = solve_adaptive(P, u0, targets, tol=tol, p_max=p_max)
     assert (res.p, res.converged) == (p, converged)
-    assert [bits(r) for r in res.reports] == [bits(r) for r in reports]
+    assert [bits(r) for r in res.reports] == [bits(r) for r in history[-1]]
+    if case == "N2-retarget":
+        estimates = [[r.total_estimate for r in reports] for reports in history]
+        worst = estimates[0].index(max(estimates[0]))
+        assert any(e[worst] <= tol < max(e) for e in estimates[1:-1])
     if case == "breakdown":
         assert res.solution.decomposition.breakdown and p == 1
     elif "cap" in case:
@@ -682,8 +717,9 @@ def test_batched_checks_match_per_target_loop(case):
 
 def test_adaptive_check_work(monkeypatch):
     # the first and the last check: one small exponential per distinct t and
-    # one contraction of q_{p+1} per distinct eps; every check between stops
-    # at the worst target of the first, which still fails: one of each.
+    # one contraction of q_{p+1} per distinct eps; every check between probes
+    # the worst target of the first: one of each. The last probe passes, and
+    # its contraction is made again by the full batch of the last check.
     # A priori bounds only for the returned reports
     counts = {"expm": 0, "apriori_bounds": 0, "_power_sum": 0}
 
@@ -707,7 +743,7 @@ def test_adaptive_check_work(monkeypatch):
     checks = -(-res.p // solver.DEFAULT_CHECK_INTERVAL)
     assert checks >= 3
     assert counts == {"expm": 2 * len(ts) + checks - 2, "apriori_bounds": len(targets),
-                      "_power_sum": 2 * len(epss) + checks - 2}
+                      "_power_sum": 2 * len(epss) + checks - 1}
 
 
 @pytest.mark.parametrize("value", [7.5, 7.0, "7"], ids=["7.5", "7.0", "str"])
