@@ -21,7 +21,7 @@ vector: two sweeps over the basis per step instead of four.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -198,13 +198,7 @@ class KrylovDecomposition:
             return self
         if not 1 <= p < self.p:
             raise ValueError(f"cannot truncate a {self.p}-step decomposition to p={p}")
-        return KrylovDecomposition(
-            staircase=self.staircase,
-            H=self.H[:p + 1, :p],
-            beta=self.beta,
-            p=p,
-            breakdown=False,
-        )
+        return replace(self, H=self.H[:p + 1, :p], p=p, breakdown=False)
 
 
 class InfiniteArnoldi:

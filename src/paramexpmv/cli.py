@@ -26,10 +26,6 @@ EXIT_USAGE = 2
 EXIT_TOL_UNREACHED = 3
 
 
-class InputError(Exception):
-    """User-facing input problem; reported on stderr with exit code 2."""
-
-
 def _fmt(x) -> str:
     if isinstance(x, complex):
         return f"{x.real:.16e}{x.imag:+.16e}i"
@@ -44,23 +40,23 @@ def _parse_scalar(token: str):
         else:
             value = float(token)
     except ValueError as exc:
-        raise InputError(f"cannot parse scalar '{token}'") from exc
+        raise ValueError(f"cannot parse scalar '{token}'") from exc
     if not cmath.isfinite(value):
-        raise InputError(f"non-finite value '{token}'")
+        raise ValueError(f"non-finite value '{token}'")
     return value
 
 
 def _parse_list(text: str) -> list:
     values = [_parse_scalar(tok) for tok in text.split(",") if tok.strip()]
     if not values:
-        raise InputError("empty value list")
+        raise ValueError("empty value list")
     return values
 
 
 def _parse_reals(text: str, option: str) -> list[float]:
     values = _parse_list(text)
     if any(isinstance(v, complex) for v in values):
-        raise InputError(f"{option} takes real values, got '{text}'")
+        raise ValueError(f"{option} takes real values, got '{text}'")
     return values
 
 
@@ -69,7 +65,7 @@ def _load_problem(args):
         try:
             return problems.load_manifest(args.manifest)
         except (OSError, ValueError, KeyError) as exc:
-            raise InputError(f"cannot load manifest: {exc}") from exc
+            raise ValueError(f"cannot load manifest: {exc}") from exc
     P, u0, _ = _generate(args)
     return P, u0
 
@@ -79,10 +75,7 @@ def _generate(args):
     params = {"n": args.n, "a": args.a, "b": args.b,
               "points": args.points, "gamma1": args.gamma1}
     params = {k: v for k, v in params.items() if v is not None}
-    try:
-        return (*problems.generate(args.problem, params), params)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return (*problems.generate(args.problem, params), params)
 
 
 def _add_problem_args(p: argparse.ArgumentParser, manifest: bool = True) -> None:
@@ -116,7 +109,7 @@ def cmd_solve(args) -> int:
     targets = [(t, e) for t in ts for e in epss]
     gammas = _parse_reals(args.gamma, "--gamma") if args.gamma else [None]
     if len(gammas) != 1:
-        raise InputError("solve takes exactly one --gamma value")
+        raise ValueError("solve takes exactly one --gamma value")
     gamma = gammas[0]
 
     if args.tol is not None:
@@ -166,7 +159,7 @@ def cmd_convergence(args) -> int:
     P, u0 = _load_problem(args)
     ts = _parse_reals(args.t, "--t")
     if len(ts) != 1:
-        raise InputError("convergence studies take exactly one --t value")
+        raise ValueError("convergence studies take exactly one --t value")
     t = ts[0]
     epss = _parse_list(args.eps) if args.eps else [0.0]
     gammas = _parse_reals(args.gamma, "--gamma") if args.gamma else [None]
@@ -182,8 +175,8 @@ def cmd_convergence(args) -> int:
         if args.out is None or len(gammas) == 1:
             path = args.out
         else:
-            stem, dot, suffix = args.out.rpartition(".")
-            path = f"{stem}_g{gi}{dot}{suffix}" if dot else f"{args.out}_g{gi}"
+            stem, ext = os.path.splitext(args.out)
+            path = f"{stem}_g{gi}{ext}"
         _write_lines(path, lines)
         if path is not None:
             outputs.append(path)
@@ -204,18 +197,13 @@ def cmd_convergence(args) -> int:
                 f"  '{path}' using 1:4 with lines title '{path} estimate'"
             )
         gp.append(", \\\n".join(plot_parts))
-        script = outputs[0].rsplit(".", 1)[0] + ".gp"
-        _write_lines(script, gp)
+        _write_lines(os.path.splitext(outputs[0])[0] + ".gp", gp)
     return EXIT_OK
 
 
 def cmd_generate(args) -> int:
     P, u0, params = _generate(args)
-    try:
-        manifest = problems.write_problem(args.out, args.problem, P, u0, params)
-    except OSError as exc:
-        raise InputError(f"cannot write output: {exc}") from exc
-    print(manifest)
+    print(problems.write_problem(args.out, args.problem, P, u0, params))
     return EXIT_OK
 
 
@@ -265,7 +253,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, FloatingPointError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

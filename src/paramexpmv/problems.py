@@ -132,13 +132,7 @@ def load_problem(matrix_paths, u0_path) -> tuple[MatrixPolynomial, np.ndarray]:
     """Read coefficient matrices (degree order) and a start vector from files."""
     if not matrix_paths:
         raise ValueError("at least one coefficient file is required")
-    mats = []
-    for path in matrix_paths:
-        if not os.path.exists(path):
-            raise FileNotFoundError(f"coefficient file not found: {path}")
-        mats.append(load_matrix(path))
-    if not os.path.exists(u0_path):
-        raise FileNotFoundError(f"start vector file not found: {u0_path}")
+    mats = [load_matrix(path) for path in matrix_paths]
     u0 = load_vector(u0_path)
     n = mats[0].shape[0]
     for path, M in zip(matrix_paths, mats):

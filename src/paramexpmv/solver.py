@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -194,8 +195,10 @@ class ParameterizedSolution:
         rec = self._at_time.get(t)
         if rec is None:
             K = self.decomposition
-            e1, phi1 = phi_columns(K.hessenberg, t)
-            rec = _AtTime(e1 * K.beta, float(abs(t * K.beta * K.residual_norm * phi1[-1])))
+            # on overflow the estimate reads +inf and coefficient synthesis raises
+            with np.errstate(over="ignore", invalid="ignore"):
+                e1, phi1 = phi_columns(K.hessenberg, t)
+                rec = _AtTime(e1 * K.beta, float(abs(t * K.beta * K.residual_norm * phi1[-1])))
             rec.w.flags.writeable = False
             if len(self._at_time) < MAX_CACHED_TIMES:
                 self._at_time[t] = rec
@@ -205,23 +208,27 @@ class ParameterizedSolution:
         """All k_max coefficient blocks of the scaled problem, shape (k_max, n)."""
         rec = self._at(t)
         if rec.rows is None:
+            if not np.all(np.isfinite(rec.w)):
+                raise FloatingPointError("exp(tH_p) overflows")
             rows = self.decomposition.staircase.combine(rec.w).reshape(-1, self.n)
             rows.flags.writeable = False
             rec.rows = rows
         return rec.rows
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
-        """First k expansion coefficients at time t, shape (k, n); k defaults to k_max."""
+        """First k expansion coefficients at time t, shape (k, n); k defaults to
+        k_max. Overflow raises FloatingPointError."""
         k = self.k_max if k is None else _as_int("k", k)
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
-        C = self._scaled_coefficients(t)[:k]
-        if self.gamma != 1.0:
-            # m finite factors: gamma**l alone overflows where scaled rows underflow
-            m = max(1, math.ceil((k - 1) * abs(math.log10(self.gamma)) / 300))
-            root = (self.gamma ** (np.arange(k) / m))[:, None]
-            for _ in range(m):
-                C = C * root
+        with _raise_on_overflow(t):
+            C = self._scaled_coefficients(t)[:k]
+            if self.gamma != 1.0:
+                # m finite factors: gamma**l alone overflows where scaled rows underflow
+                m = max(1, math.ceil((k - 1) * abs(math.log10(self.gamma)) / 300))
+                root = (self.gamma ** (np.arange(k) / m))[:, None]
+                for _ in range(m):
+                    C = C * root
         return C
 
     def evaluate(self, t: float, eps) -> np.ndarray:
@@ -229,9 +236,11 @@ class ParameterizedSolution:
 
         Costs one matrix-vector product over the cached (k_max, n)
         coefficient rows, plus coefficient synthesis on the first call at a
-        new t.
+        new t. Overflow raises FloatingPointError.
         """
-        return _power_sum(self._scaled_coefficients(t), self.gamma * _check_eps(eps))
+        eps = _check_eps(eps)
+        with _raise_on_overflow(t, eps):
+            return _power_sum(self._scaled_coefficients(t), self.gamma * eps)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -266,6 +275,8 @@ class ParameterizedSolution:
         if self.decomposition.breakdown:
             return [0.0] * len(targets)
         q = self.decomposition.residual_vector.reshape(-1, self.n)
+        # one record fetch per distinct t: past MAX_CACHED_TIMES, _at recomputes
+        t_part = {t: self._at(t).t_factor for t in dict.fromkeys(t for t, _ in targets)}
         eps_part, estimates = {}, []
         for t, eps in targets:
             key = (type(eps), eps)
@@ -273,7 +284,7 @@ class ParameterizedSolution:
                 with np.errstate(over="ignore", invalid="ignore"):
                     eps_part[key] = float(np.linalg.norm(_power_sum(q, self.gamma * eps)))
             # NaN from an overflowed contraction, or 0 * inf, reads +inf
-            est = self._at(t).t_factor * eps_part[key]
+            est = t_part[t] * eps_part[key]
             estimates.append(math.inf if math.isnan(est) else est)
         return estimates
 
@@ -318,6 +329,18 @@ def _check_eps(eps) -> float | complex:
     if not cmath.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
     return complex(eps) if np.iscomplexobj(eps) else float(eps)
+
+
+@contextmanager
+def _raise_on_overflow(t, eps=None):
+    """Make float overflow and invalid operations in the block raise
+    FloatingPointError naming t (and eps), not warn and return inf or NaN."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        at = f"t={t}" if eps is None else f"t={t}, eps={eps}"
+        raise FloatingPointError(f"{exc} at {at}") from None
 
 
 def _power_sum(C: np.ndarray, x) -> np.ndarray:
@@ -397,12 +420,11 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
     target. A check in between probes the target that was worst at the last
     full check and estimates every target only if that one is at most tol;
     a full check that does not return picks the worst target again. A full
-    check makes one small dense exponential per distinct t (up to
-    `MAX_CACHED_TIMES`) and one contraction of q_{p+1} per distinct eps; a
-    probe makes one of each. A priori bounds are computed only for the
-    returned reports. targets may be any iterable of (t, eps) pairs. gamma
-    is as in `build`. Returns a best-effort result with ``converged=False``
-    if p_max is reached first.
+    check makes one small dense exponential per distinct t and one
+    contraction of q_{p+1} per distinct eps; a probe makes one of each. A
+    priori bounds are computed only for the returned reports. targets may
+    be any iterable of (t, eps) pairs. gamma is as in `build`. Returns a
+    best-effort result with ``converged=False`` if p_max is reached first.
     """
     targets = tuple((_check_positive_t(t), _check_eps(eps)) for t, eps in targets)
     if not targets:

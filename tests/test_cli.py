@@ -128,6 +128,24 @@ def test_convergence_multi_gamma_files(tmp_path):
     assert (tmp_path / "g_g1.csv").exists()
 
 
+@pytest.mark.parametrize("out, gammas, written", [
+    ("conv", "10", ["conv", "conv.gp"]),
+    ("conv", "10,50", ["conv_g0", "conv_g1", "conv_g0.gp"]),
+    ("run.v2/conv", "10", ["run.v2/conv", "run.v2/conv.gp"]),
+    ("run.v2/conv", "10,50", ["run.v2/conv_g0", "run.v2/conv_g1", "run.v2/conv_g0.gp"]),
+])
+def test_convergence_output_names(out, gammas, written, tmp_path, monkeypatch):
+    # names split at the extension of the file name, never at a dot of the
+    # directory part or of "./"
+    (tmp_path / "run.v2").mkdir()
+    monkeypatch.chdir(tmp_path)
+    rc = main(["convergence", "--problem", "advdiff1", "--n", "10", "--a", "1e-3",
+               "--t", "0.5", "--p-max", "4", "--gamma", gammas, "--out", "./" + out])
+    assert rc == 0
+    files = sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*") if f.is_file())
+    assert files == sorted(written)
+
+
 def test_convergence_one_build_against_expm_multiply(tmp_path, monkeypatch):
     # one Arnoldi run at p = --p-max; the reference needs no dense oracle
     builds = []
@@ -195,6 +213,15 @@ def test_empty_coefficient_list_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_missing_coefficient_file_is_usage_error(tmp_path, capsys):
+    P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
+    manifest = write_problem(tmp_path / "gone", "advdiff1", P, u0, {})
+    os.remove(tmp_path / "gone" / "A1.mtx")
+    rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
+    assert rc == 2
+    assert str(tmp_path / "gone" / "A1.mtx") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option, value", [

@@ -27,7 +27,7 @@ def test_as_csr_from_dense():
 
 
 def test_as_csr_passthrough_keeps_values():
-    A = sp.random_array((6, 6), density=0.4, rng=np.random.default_rng(0))
+    A = sp.random_array((6, 6), density=0.4, random_state=np.random.default_rng(0))
     M = as_csr(A)
     np.testing.assert_allclose(M.toarray(), A.toarray())
 
@@ -45,9 +45,9 @@ def sparse_square(draw):
     density = draw(st.floats(0.0, 0.3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 10.0 ** draw(st.integers(-3, 3))
-    A = sp.random_array((n, n), density=density, rng=rng, data_sampler=rng.standard_normal)
+    A = sp.random_array((n, n), density=density, random_state=rng, data_sampler=rng.standard_normal)
     if draw(st.booleans()):
-        B = sp.random_array((n, n), density=density, rng=rng, data_sampler=rng.standard_normal)
+        B = sp.random_array((n, n), density=density, random_state=rng, data_sampler=rng.standard_normal)
         A = A + 1j * B
     return as_csr(A * scale)
 
@@ -121,7 +121,7 @@ def test_log_norm_negative_definite():
 
 def test_matrix_roundtrip(tmp_path):
     rng = np.random.default_rng(2)
-    A = sp.random_array((9, 9), density=0.3, rng=rng)
+    A = sp.random_array((9, 9), density=0.3, random_state=rng)
     path = tmp_path / "A.mtx"
     save_matrix(path, A)
     B = load_matrix(path)

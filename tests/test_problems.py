@@ -1,9 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from paramexpmv.linalg import two_norm_estimate
+from paramexpmv.linalg import save_matrix, two_norm_estimate
 from paramexpmv.problems import (
     GENERATORS,
     gen_advdiff1,
@@ -158,5 +159,8 @@ def test_manifest_contents(tmp_path):
 
 
 def test_load_problem_missing_file(tmp_path):
-    with pytest.raises(FileNotFoundError):
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.mtx"))):
         load_problem([tmp_path / "nope.mtx"], tmp_path / "u.mtx")
+    save_matrix(tmp_path / "A0.mtx", np.eye(2))
+    with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "u.mtx"))):
+        load_problem([tmp_path / "A0.mtx"], tmp_path / "u.mtx")

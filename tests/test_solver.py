@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,27 @@ def test_per_t_records_stop_at_cap(monkeypatch):
             for _ in range(2):
                 np.testing.assert_array_equal(getattr(S, call)(0.4, eps), ref)
     assert sorted(S._at_time) == [0.1, 0.2]
+
+
+@pytest.mark.parametrize("order", ["t-major", "eps-major"])
+def test_estimates_past_cap_one_exponential_per_t(order, monkeypatch):
+    # past MAX_CACHED_TIMES the per-t record is not kept, yet one call of
+    # _estimates still makes one exponential per distinct t
+    monkeypatch.setattr(solver, "MAX_CACHED_TIMES", 2)
+    P, u0 = gen_advdiff1(30, 1e-3)
+    S = build(P, u0, 12)
+    fresh = build(P, u0, 12)
+    ts, epss = (0.1, 0.2, 0.4), (1e-3, 2e-3 + 1e-3j)
+    if order == "t-major":
+        targets = [(t, e) for t in ts for e in epss]
+    else:
+        targets = [(t, e) for e in epss for t in ts]
+    ref = [fresh.aposteriori_krylov(t, e) for t, e in targets]
+    calls = []
+    expm = paramexpmv.matfun.expm
+    monkeypatch.setattr(paramexpmv.matfun, "expm", lambda A: calls.append(A.shape) or expm(A))
+    assert S._estimates(targets) == ref
+    assert len(calls) == len(ts)
 
 
 def test_complex_eps_evaluation():
@@ -531,6 +553,43 @@ def test_overflowing_estimate_reads_inf():
         report = S.error_report(t, eps)
         assert report.aposteriori_krylov == report.total_estimate == math.inf
         assert report.apriori_total == math.inf
+
+
+def test_overflowing_exponential_raises():
+    # at t = -1000 the small exponential overflows: evaluate and coefficients
+    # raise, naming t (and eps), where they returned all-NaN arrays
+    P, u0 = gen_advdiff1(30, 1e-3)
+    S = build(P, u0, 12)
+    with pytest.raises(FloatingPointError, match=r"t=-1000, eps=0\.001"):
+        S.evaluate(-1000, 1e-3)
+    with pytest.raises(FloatingPointError, match="t=-1000"):
+        S.coefficients(-1000)
+    assert np.all(np.isfinite(S.evaluate(-10, 1e-3)))
+    assert np.all(np.isfinite(S.coefficients(-10)))
+
+
+@pytest.mark.parametrize("eps", [1e300j, 1e150 + 1e150j, 1e100])
+def test_overflowing_power_sum_raises(eps):
+    # the power sum overflows (to NaN for the complex eps, to inf for the
+    # real one); the estimate and the a priori bound still read +inf
+    P, u0 = gen_advdiff1(30, 1e-3)
+    S = build(P, u0, 12)
+    with pytest.raises(FloatingPointError, match=re.escape(f"t=0.5, eps={eps}")):
+        S.evaluate(0.5, eps)
+    report = S.error_report(0.5, eps)
+    assert report.total_estimate == report.apriori_total == math.inf
+
+
+def test_overflowing_gamma_scaling_raises():
+    # gamma = 1e4 and t = 1e4: the scaled rows (1e4)^l/l! are finite, the
+    # coefficients (1e8)^l/l! overflow from l = 46 on
+    P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
+    S = build(P, np.ones(1), 60)
+    assert S.gamma == 1e4
+    assert np.all(np.isfinite(S._scaled_coefficients(1e4)))
+    assert np.all(np.isfinite(S.coefficients(1e4, 46)))
+    with pytest.raises(FloatingPointError, match="t=10000"):
+        S.coefficients(1e4)
 
 
 def test_truncation_bound_zero_for_zero_eps():
