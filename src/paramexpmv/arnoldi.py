@@ -134,7 +134,10 @@ class StaircaseBasis:
 
     def combine(self, w: np.ndarray) -> np.ndarray:
         """Q_m w with m = len(w) >= 1; the result has column m-1's length."""
-        out = np.zeros(self.length(len(w) - 1), dtype=np.result_type(self.dtype, w.dtype))
+        out = np.empty(self.length(len(w) - 1), dtype=np.result_type(self.dtype, w.dtype))
+        # written before the products read it: np.zeros' pages would fault on
+        # the read (zero page) and again on the first write (copy)
+        out.fill(0)
         self.accumulate(out, w)
         return out
 

@@ -17,11 +17,21 @@ from .linalg import _as_int, as_csr, load_matrix, load_vector, save_matrix, save
 from .toeplitz import MatrixPolynomial
 
 
-def _tridiag(n: int, lower: float, diag: float, upper: float) -> sp.csr_array:
-    return as_csr(sp.diags_array(
-        [np.full(n - 1, lower), np.full(n, diag), np.full(n - 1, upper)],
-        offsets=[-1, 0, 1],
-    ))
+def _tridiag(n: int, scale: float, lower: float, diag: float, upper: float) -> sp.csr_array:
+    """scale * tridiag(lower, diag, upper) as a canonical CSR array with int32
+    indices. A zero band is left out, as a conversion from DIA format does."""
+    offsets, values = zip(*[(off, scale * v) for off, v in ((-1, lower), (0, diag), (1, upper))
+                            if v != 0.0])
+    nb = len(offsets)
+    # the row-major (n, nb) entries, less row 0's lower and row n-1's upper one
+    start, stop = int(lower != 0.0), n * nb - int(upper != 0.0)
+    cols = np.arange(n, dtype=np.int32)[:, None] + np.array(offsets, dtype=np.int32)
+    data = np.empty((n, nb))
+    data[:] = values
+    indptr = np.arange(0, nb * (n + 1), nb, dtype=np.int32) - start
+    indptr[0], indptr[n] = 0, stop - start
+    return sp.csr_array((data.ravel()[start:stop], cols.ravel()[start:stop], indptr),
+                        shape=(n, n))
 
 
 def _initial_profile(n: int) -> np.ndarray:
@@ -39,8 +49,8 @@ def gen_advdiff1(n: int, a: float) -> tuple[MatrixPolynomial, np.ndarray]:
     if n < 2:
         raise ValueError("n must be at least 2")
     c = 2.0 * (n - 1)
-    A0 = a * c * c * _tridiag(n, 1.0, -2.0, 1.0)
-    A1 = c * _tridiag(n, 1.0, 0.0, -1.0)
+    A0 = _tridiag(n, a * c * c, 1.0, -2.0, 1.0)
+    A1 = _tridiag(n, c, 1.0, 0.0, -1.0)
     return MatrixPolynomial([A0, A1]), _initial_profile(n)
 
 
@@ -51,8 +61,9 @@ def gen_advdiff2(n: int, a: float, b: float) -> tuple[MatrixPolynomial, np.ndarr
     (node i coupled to node n+1-i).
     """
     P1, u0 = gen_advdiff1(n, a)
-    ar = np.arange(n)
-    A2 = as_csr(sp.coo_array((np.full(n, 5.0 * b), (ar, n - 1 - ar)), shape=(n, n)))
+    # row i holds its one entry in column n-1-i
+    A2 = sp.csr_array((np.full(n, 5.0 * b), np.arange(n - 1, -1, -1), np.arange(n + 1)),
+                      shape=(n, n))
     return MatrixPolynomial([P1.coeffs[0], P1.coeffs[1], A2]), u0
 
 

@@ -3,7 +3,10 @@
 
 One Arnoldi run yields a compact object; every subsequent evaluation costs
 only a small dense exponential per new t and one matrix-vector product over
-the cached coefficient rows, never another large matvec.
+the cached coefficient rows, never another large matvec. That product takes
+only the leading rows whose terms (gamma eps)^l C_l are not below the
+rounding error of the full sum, judged from each row's largest entry kept
+at synthesis; the rows left out change the answer by at most that error.
 """
 
 from __future__ import annotations
@@ -154,12 +157,14 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
 @dataclass
 class _AtTime:
     """What a solution knows at one t: w = beta exp(tH_p)e_1 (read-only), the
-    estimate's t-factor |t beta h_{p+1,p} e_p^T phi_1(tH_p)e_1|, and the k_max
-    scaled coefficient rows (read-only) once asked for."""
+    estimate's t-factor |t beta h_{p+1,p} e_p^T phi_1(tH_p)e_1|, and, once
+    asked for, the k_max scaled coefficient rows and an upper bound on each
+    row's largest magnitude (both read-only)."""
 
     w: np.ndarray
     t_factor: float
     rows: np.ndarray | None = None
+    magnitudes: np.ndarray | None = None
 
 
 class ParameterizedSolution:
@@ -206,14 +211,20 @@ class ParameterizedSolution:
 
     def _scaled_coefficients(self, t: float) -> np.ndarray:
         """All k_max coefficient blocks of the scaled problem, shape (k_max, n)."""
+        return self._synthesized(t).rows
+
+    def _synthesized(self, t: float) -> _AtTime:
+        """The per-t record with its coefficient rows and their magnitudes."""
         rec = self._at(t)
         if rec.rows is None:
             if not np.all(np.isfinite(rec.w)):
                 raise FloatingPointError("exp(tH_p) overflows")
             rows = self.decomposition.staircase.combine(rec.w).reshape(-1, self.n)
             rows.flags.writeable = False
+            rec.magnitudes = _row_magnitudes(rows)
+            rec.magnitudes.flags.writeable = False
             rec.rows = rows
-        return rec.rows
+        return rec
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
         """First k expansion coefficients at time t, shape (k, n); k defaults to
@@ -232,15 +243,23 @@ class ParameterizedSolution:
         return C
 
     def evaluate(self, t: float, eps) -> np.ndarray:
-        """Approximate solution at (t, eps) from all k_max coefficients.
+        """Approximate solution at (t, eps) from the leading L of the k_max
+        coefficients.
 
-        Costs one matrix-vector product over the cached (k_max, n)
-        coefficient rows, plus coefficient synthesis on the first call at a
-        new t. Overflow raises FloatingPointError.
+        With x = gamma eps and m_l the largest magnitude in row l, L >= 1 is
+        the fewest leading rows whose left-out terms sum to at most
+        u sum_l |x|^l m_l (u the float64 unit roundoff), a bound on the
+        rounding error of the full sum; so in exact arithmetic the answer is
+        within that of the sum of all k_max terms (`_rows_needed`). Costs one
+        matrix-vector product over the cached (L, n) coefficient rows, plus
+        coefficient synthesis on the first call at a new t. Overflow raises
+        FloatingPointError.
         """
         eps = _check_eps(eps)
         with _raise_on_overflow(t, eps):
-            return _power_sum(self._scaled_coefficients(t), self.gamma * eps)
+            rec = self._synthesized(t)
+            x = self.gamma * eps
+            return _power_sum(rec.rows[:_rows_needed(rec.magnitudes, x)], x)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -341,6 +360,39 @@ def _raise_on_overflow(t, eps=None):
     except FloatingPointError as exc:
         at = f"t={t}" if eps is None else f"t={t}, eps={eps}"
         raise FloatingPointError(f"{exc} at {at}") from None
+
+
+def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """Upper bound on max_i |rows[l, i]| for each row l, with no temporary
+    the size of the rows: sqrt(2) max(|Re|, |Im|) for complex rows, +inf
+    past the float range."""
+    if np.iscomplexobj(rows):
+        with np.errstate(over="ignore"):
+            return math.sqrt(2.0) * _row_magnitudes(rows.view(rows.real.dtype))
+    return np.maximum(rows.max(axis=1), -rows.min(axis=1))
+
+
+def _rows_needed(magnitudes: np.ndarray, x) -> int:
+    """Fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
+    for m = magnitudes and u = 2^-53, the float64 unit roundoff.
+
+    The terms are compared in log space, so every finite x is covered. x = 0
+    and all-zero magnitudes give 1; a non-finite magnitude (or x) gives all
+    rows, so an overflow is met as it would be in the full sum.
+    """
+    k, ax = len(magnitudes), abs(x)
+    if ax == 0.0:
+        return 1
+    if not math.isfinite(ax):
+        return k
+    with np.errstate(divide="ignore"):
+        logs = np.log(magnitudes) + math.log(ax) * np.arange(k)
+    top = logs.max()
+    if not math.isfinite(top):
+        return 1 if top == -math.inf else k
+    # tails[L] = sum_{l>=L} of the terms over the largest; it does not increase
+    tails = np.cumsum(np.exp(logs - top)[::-1])[::-1]
+    return 1 + int(np.count_nonzero(tails[1:] > 2.0 ** -53 * tails[0]))
 
 
 def _power_sum(C: np.ndarray, x) -> np.ndarray:

@@ -1,9 +1,14 @@
 import json
 import os
+import re
+import shlex
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import paramexpmv
 import paramexpmv.reference
 import paramexpmv.solver
 from paramexpmv.cli import main
@@ -310,3 +315,20 @@ def test_deterministic_output(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_module_run_writes_csv(tmp_path):
+    # the README's adaptive `solve` command, run as `python -m paramexpmv.cli`
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    command = re.search(r"^paramexpmv solve .*?--out \S+$", readme, re.M | re.S).group(0)
+    argv = shlex.split(command.replace("\\\n", " "))
+    assert argv[argv.index("--out") + 1] == "solutions.csv"
+    package_root = os.path.dirname(os.path.dirname(paramexpmv.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "paramexpmv.cli", *argv[1:]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    header, rows = read_csv(tmp_path / "solutions.csv")
+    assert header == ["t", "eps", "p_used", "aposteriori_estimate", "apriori_total"]
+    assert len(rows) == 3

@@ -3,8 +3,9 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from paramexpmv.linalg import save_matrix, two_norm_estimate
+from paramexpmv.linalg import as_csr, save_matrix, two_norm_estimate
 from paramexpmv.problems import (
     GENERATORS,
     gen_advdiff1,
@@ -57,6 +58,33 @@ def test_advdiff2_extends_advdiff1():
     assert A2[0, 29] != 0.0
     assert A2[0, 0] == 0.0
     np.testing.assert_allclose(A2, A2[::-1, ::-1].T)
+
+
+def advdiff2_by_conversion(n, a, b):
+    """The advdiff2 coefficients as first built: DIA and COO arrays converted
+    to canonical CSR, the scalars applied as CSR products."""
+    def tridiag(lower, diag, upper):
+        return as_csr(sp.diags_array(
+            [np.full(n - 1, lower), np.full(n, diag), np.full(n - 1, upper)],
+            offsets=[-1, 0, 1],
+        ))
+    c = 2.0 * (n - 1)
+    ar = np.arange(n)
+    return [a * c * c * tridiag(1.0, -2.0, 1.0), c * tridiag(1.0, 0.0, -1.0),
+            as_csr(sp.coo_array((np.full(n, 5.0 * b), (ar, n - 1 - ar)), shape=(n, n)))]
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 300, 2000])
+@pytest.mark.parametrize("a, b", [(3e-4, 2e2), (0.0, 0.0)])
+def test_advdiff_coefficients_match_conversion(n, a, b):
+    P, _ = gen_advdiff2(n, a, b)
+    for got, ref in zip(P.coeffs, advdiff2_by_conversion(n, a, b), strict=True):
+        assert type(got) is type(ref) and got.shape == ref.shape
+        for name in ("data", "indices", "indptr"):
+            x, y = getattr(got, name), getattr(ref, name)
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert got.has_canonical_format and ref.has_canonical_format
+        assert got.has_sorted_indices and ref.has_sorted_indices
 
 
 def test_advdiff2_paper_scale_norm():

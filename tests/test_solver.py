@@ -14,7 +14,7 @@ import paramexpmv.matfun
 import paramexpmv.toeplitz
 from paramexpmv import solver
 from paramexpmv.cli import main
-from paramexpmv.problems import gen_advdiff1, gen_advdiff2
+from paramexpmv.problems import gen_advdiff1, gen_advdiff2, generate
 from paramexpmv.reference import dense_coefficients, dense_solution
 from paramexpmv.solver import (
     BoundInputs,
@@ -257,7 +257,122 @@ def test_evaluate_matches_horner(complex_rows, x):
         ref = horner(rows[:k], S.gamma * eps)
         u = solver._power_sum(rows[:k], S.gamma * eps)
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
-    np.testing.assert_array_equal(S.evaluate(t, eps), u)
+    L = solver._rows_needed(S._synthesized(t).magnitudes, S.gamma * eps)
+    got = S.evaluate(t, eps)
+    np.testing.assert_array_equal(got, solver._power_sum(rows[:L], S.gamma * eps))
+    assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+U = 2.0 ** -53
+
+
+def assert_cut_within_floor(S, t, x):
+    """evaluate(t, x / gamma) differs from the sum of all k_max rows by at most
+    2u sum_l |x|^l m_l plus the rounding of the two sums: each is an inner
+    product of k terms with powers from a running product, so within
+    2k u sum_l |x|^l m_l (Higham 2002, section 3.1)."""
+    rec = S._synthesized(t)
+    rows, m = rec.rows, rec.magnitudes
+    full = solver._power_sum(rows, x)
+    with np.errstate(over="ignore"):
+        floor = float(np.sum(abs(x) ** np.arange(S.k_max) * m))
+    assert math.isfinite(floor)
+    dropped = np.max(np.abs(full - S.evaluate(t, x / S.gamma)))
+    assert dropped <= (2 + 4 * S.k_max) * U * floor
+
+
+def magnitude_tail(m, x, L):
+    """sum_{l>=L} |x|^l m_l and sum_l |x|^l m_l in extended precision."""
+    terms = np.longdouble(abs(x)) ** np.arange(len(m)) * m.astype(np.longdouble)
+    return terms[L:].sum(), terms.sum()
+
+
+@pytest.mark.parametrize("name", ["advdiff1", "advdiff2", "wave"])
+def test_evaluate_drops_only_a_tail_below_the_rounding_floor(name):
+    if name == "wave":
+        S = build(*generate("wave", {"points": 5, "gamma1": 2.0}), 20)
+    else:
+        S = horner_problem(name)
+    for t in (0.1, 0.6):
+        for x in (1e-3, -0.3, 0.2 + 0.7j, 1.0, 7.0, -40.0 + 25.0j):
+            assert_cut_within_floor(S, t, x)
+            m = S._synthesized(t).magnitudes
+            L = solver._rows_needed(m, x)
+            tail, total = magnitude_tail(m, x, L)
+            # the cut keeps the fewest rows whose left-out terms are below u times all
+            assert tail <= U * total * (1 + 1e-12)
+            if L > 1:
+                assert magnitude_tail(m, x, L - 1)[0] > U * total * (1 - 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), N=st.integers(1, 3), complex_coeffs=st.booleans(),
+       p=st.integers(2, 25), t=st.floats(0.05, 1.0),
+       x=st.one_of(st.complex_numbers(max_magnitude=1.0),
+                   st.floats(-1.0, 1.0),
+                   st.complex_numbers(min_magnitude=10.0, max_magnitude=1e3),
+                   st.floats(10.0, 1e3)),
+       seed=st.integers(0, 2**32 - 1))
+def test_evaluate_cut_within_floor_on_random_problems(n, N, complex_coeffs, p, t, x, seed):
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, n)) for _ in range(N + 1)]
+    if complex_coeffs:
+        mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
+    S = build(MatrixPolynomial([0.5 * A for A in mats]), rng.standard_normal(n), p)
+    rec = S._synthesized(t)
+    # m bounds each row's largest entry, and equals it for real rows
+    largest = np.max(np.abs(rec.rows), axis=1)
+    assert np.all(largest <= rec.magnitudes)
+    if not complex_coeffs:
+        np.testing.assert_array_equal(largest, rec.magnitudes)
+    assert_cut_within_floor(S, t, x)
+
+
+def test_evaluate_at_zero_eps_is_the_first_row():
+    S = horner_problem("advdiff2")
+    for t in (0.1, 0.6):
+        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._scaled_coefficients(t)[0])
+
+
+def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
+    S = build(*gen_advdiff1(200, 3e-4), 60)
+    seen = []
+    power_sum = solver._power_sum
+    monkeypatch.setattr(solver, "_power_sum", lambda C, x: seen.append(len(C)) or power_sum(C, x))
+    u = S.evaluate(0.5, 1e-3)
+    assert len(seen) == 1 and 1 <= seen[0] < S.k_max
+    full = power_sum(S._scaled_coefficients(0.5), S.gamma * 1e-3)
+    assert np.linalg.norm(u - full) <= 1e-15 * np.linalg.norm(full)
+
+
+def test_rows_needed_edge_cases():
+    m = np.array([1.0, 0.5, 0.25, 0.0])
+    assert solver._rows_needed(m, 0.0) == solver._rows_needed(m, 0j) == 1
+    assert solver._rows_needed(np.zeros(4), 3.0) == 1
+    for bad in (math.inf, math.nan):
+        assert solver._rows_needed(np.array([1.0, bad, 1.0]), 1e-3) == 3
+    assert solver._rows_needed(m, math.inf) == 4
+    # a zero magnitude, a tiny and a huge x: defined, with no warning
+    assert solver._rows_needed(m, 1e-300) == 1
+    assert solver._rows_needed(m, 1e300) == 3
+    assert solver._rows_needed(np.array([1.0, 1e-17, 1e-20]), 1.0) == 1
+    assert solver._rows_needed(np.array([1.0, 1e-15, 1e-20]), 1.0) == 2
+
+
+@pytest.mark.parametrize("complex_rows", [False, True])
+def test_row_magnitudes_need_no_row_sized_temporary(complex_rows):
+    rows = np.random.default_rng(3).standard_normal((40, 20000))
+    if complex_rows:
+        rows = rows * (1 - 2j)
+    tracemalloc.start()
+    try:
+        m = solver._row_magnitudes(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < rows.nbytes / 100
+    exact = np.max(np.abs(rows), axis=1)
+    assert np.all(exact <= m) and np.all(m <= math.sqrt(2.0) * exact * (1 + 1e-15))
 
 
 def _power_sum_stacked(C, x):
