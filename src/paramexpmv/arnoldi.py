@@ -27,6 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import _as_int
+from .matfun import phi_columns
 from .toeplitz import MatrixPolynomial, structured_matvec_add
 
 #: Relative residual below which an iteration is declared a lucky breakdown.
@@ -132,15 +133,6 @@ class StaircaseBasis:
         for a, r, B in self._blocks(w.shape[-1]):
             y[..., r:r + B.shape[0]] += w[..., a:a + B.shape[1]] @ B.T
 
-    def combine(self, w: np.ndarray) -> np.ndarray:
-        """Q_m w with m = len(w) >= 1; the result has column m-1's length."""
-        out = np.empty(self.length(len(w) - 1), dtype=np.result_type(self.dtype, w.dtype))
-        # written before the products read it: np.zeros' pages would fault on
-        # the read (zero page) and again on the first write (copy)
-        out.fill(0)
-        self.accumulate(out, w)
-        return out
-
     def dense(self, m: int) -> np.ndarray:
         """The first m columns zero-padded to column m-1's length, as a new array."""
         Q = np.zeros((self.length(m - 1), m), dtype=self.dtype, order="F")
@@ -160,7 +152,8 @@ class KrylovDecomposition:
     matrix with nonnegative subdiagonal. On lucky breakdown there are only
     p columns and the last row of `H` is zero: the decomposition is exact.
     `Q` is a dense zero-padded copy of the columns, built on first access,
-    for tests and inspection; the library itself reads only `staircase`.
+    for tests and inspection. A solution reads only `at`, `rows`,
+    `residual_blocks`, `k_max` and `truncate`, so the layout stays here.
     """
 
     staircase: StaircaseBasis
@@ -185,14 +178,45 @@ class KrylovDecomposition:
         return self.H[:self.p, :self.p]
 
     @property
-    def residual_norm(self) -> float:
-        """Subdiagonal entry h_{p+1,p} (zero on breakdown)."""
-        return 0.0 if self.breakdown else float(self.H[self.p, self.p - 1].real)
-
-    @property
     def residual_vector(self):
         """Read-only nonzero prefix of the basis vector q_{p+1}, or None on breakdown."""
         return None if self.breakdown else self.staircase.column(self.p)
+
+    @property
+    def residual_blocks(self):
+        """The 1+Np blocks of q_{p+1}, read-only, shape (1+Np, n); None on breakdown."""
+        q = self.residual_vector
+        return None if q is None else q.reshape(-1, self.staircase.n)
+
+    @property
+    def k_max(self) -> int:
+        """Number of coefficient rows, 1 + N(p-1): the blocks of column p."""
+        return 1 + self.staircase.N * (self.p - 1)
+
+    def at(self, t: float) -> tuple[np.ndarray, float]:
+        """w = beta exp(tH_p)e_1, read-only, and the estimate's t-factor
+        |t beta h_{p+1,p} e_p^T phi_1(tH_p)e_1|, zero on breakdown, from one
+        exponential. Overflow leaves w not finite, the t-factor +inf or NaN."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                e1, phi1 = phi_columns(self.hessenberg, t)
+            except ValueError:  # tH_p overflows, and expm refuses non-finite input
+                e1 = phi1 = np.full(self.p, math.inf)
+            w = e1 * self.beta
+            h = float(self.H[self.p, self.p - 1].real)
+            t_factor = 0.0 if self.breakdown else float(abs(t * self.beta * h * phi1[-1]))
+        w.flags.writeable = False
+        return w, t_factor
+
+    def rows(self, w: np.ndarray) -> np.ndarray:
+        """The k_max coefficient rows Q_p w for a w of length p, shape (k_max, n)."""
+        basis = self.staircase
+        out = np.empty(basis.length(self.p - 1), dtype=np.result_type(basis.dtype, w.dtype))
+        # written before the products read it: np.zeros' pages would fault on
+        # the read (zero page) and again on the first write (copy)
+        out.fill(0)
+        basis.accumulate(out, w)
+        return out.reshape(-1, basis.n)
 
     def truncate(self, p: int) -> "KrylovDecomposition":
         """Decomposition after only the first p steps (shares storage)."""
@@ -321,13 +345,8 @@ class InfiniteArnoldi:
         """Immutable snapshot of the current state."""
         if self.p == 0:
             raise ValueError("no iterations performed yet")
-        return KrylovDecomposition(
-            staircase=self._basis,
-            H=self._H[:self.p + 1, :self.p],
-            beta=self.beta,
-            p=self.p,
-            breakdown=self.breakdown,
-        )
+        return KrylovDecomposition(staircase=self._basis, H=self._H[:self.p + 1, :self.p],
+                                   beta=self.beta, p=self.p, breakdown=self.breakdown)
 
 
 def run_arnoldi(P: MatrixPolynomial, u0, p: int) -> KrylovDecomposition:

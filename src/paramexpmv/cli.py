@@ -62,10 +62,7 @@ def _parse_reals(text: str, option: str) -> list[float]:
 
 def _load_problem(args):
     if args.manifest:
-        try:
-            return problems.load_manifest(args.manifest)
-        except (OSError, ValueError, KeyError) as exc:
-            raise ValueError(f"cannot load manifest: {exc}") from exc
+        return problems.load_manifest(args.manifest)
     P, u0, _ = _generate(args)
     return P, u0
 

@@ -177,10 +177,19 @@ def write_problem(out_dir, name: str, P: MatrixPolynomial, u0, parameters: dict)
 
 
 def load_manifest(manifest_path) -> tuple[MatrixPolynomial, np.ndarray]:
-    """Load a problem from a JSON manifest (paths relative to the manifest)."""
+    """Load a problem from a JSON manifest (paths relative to the manifest).
+
+    Invalid JSON and a missing key raise ValueError naming the manifest.
+    """
     with open(manifest_path) as fh:
-        manifest = json.load(fh)
+        try:
+            manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
+    try:
+        coefficients, u0 = manifest["paths"]["coefficients"], manifest["paths"]["u0"]
+    except KeyError as exc:
+        raise ValueError(f"{manifest_path}: manifest has no key {exc}") from None
     base = os.path.dirname(os.path.abspath(manifest_path))
-    paths = manifest["paths"]
-    matrix_paths = [os.path.join(base, f) for f in paths["coefficients"]]
-    return load_problem(matrix_paths, os.path.join(base, paths["u0"]))
+    matrix_paths = [os.path.join(base, f) for f in coefficients]
+    return load_problem(matrix_paths, os.path.join(base, u0))

@@ -3,10 +3,7 @@
 
 One Arnoldi run yields a compact object; every subsequent evaluation costs
 only a small dense exponential per new t and one matrix-vector product over
-the cached coefficient rows, never another large matvec. That product takes
-only the leading rows whose terms (gamma eps)^l C_l are not below the
-rounding error of the full sum, judged from each row's largest entry kept
-at synthesis; the rows left out change the answer by at most that error.
+the leading cached coefficient rows (`evaluate`), never another large matvec.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ import numpy as np
 
 from .arnoldi import InfiniteArnoldi, KrylovDecomposition, run_arnoldi
 from .linalg import _as_int, log_norm_bound
-from .matfun import phi_columns
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
 #: Lanczos accuracy for two_norm_estimate/log_norm; read only by benchmarks/layers.py.
@@ -156,10 +152,9 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
 
 @dataclass
 class _AtTime:
-    """What a solution knows at one t: w = beta exp(tH_p)e_1 (read-only), the
-    estimate's t-factor |t beta h_{p+1,p} e_p^T phi_1(tH_p)e_1|, and, once
-    asked for, the k_max scaled coefficient rows and an upper bound on each
-    row's largest magnitude (both read-only)."""
+    """What a solution knows at one t: w and the t-factor of the decomposition's
+    `at`, and, once asked for, the k_max scaled coefficient rows and an upper
+    bound on each row's largest magnitude (all arrays read-only)."""
 
     w: np.ndarray
     t_factor: float
@@ -185,33 +180,22 @@ class ParameterizedSolution:
         self.n = poly.dim
         self.degree = poly.degree
         self.p = decomposition.p
-        self.k_max = 1 + self.degree * (self.p - 1)
+        self.k_max = decomposition.k_max
         self._at_time: dict[float, _AtTime] = {}
 
     def with_p(self, p: int) -> "ParameterizedSolution":
         """View of the solution as if only p Arnoldi steps had been run."""
-        return ParameterizedSolution(
-            self.decomposition.truncate(p), self.poly, self.scaled_poly,
-            self.gamma, self.bounds,
-        )
+        return ParameterizedSolution(self.decomposition.truncate(p), self.poly,
+                                     self.scaled_poly, self.gamma, self.bounds)
 
     def _at(self, t: float) -> _AtTime:
         t = _check_t(t)
         rec = self._at_time.get(t)
         if rec is None:
-            K = self.decomposition
-            # on overflow the estimate reads +inf and coefficient synthesis raises
-            with np.errstate(over="ignore", invalid="ignore"):
-                e1, phi1 = phi_columns(K.hessenberg, t)
-                rec = _AtTime(e1 * K.beta, float(abs(t * K.beta * K.residual_norm * phi1[-1])))
-            rec.w.flags.writeable = False
+            rec = _AtTime(*self.decomposition.at(t))
             if len(self._at_time) < MAX_CACHED_TIMES:
                 self._at_time[t] = rec
         return rec
-
-    def _scaled_coefficients(self, t: float) -> np.ndarray:
-        """All k_max coefficient blocks of the scaled problem, shape (k_max, n)."""
-        return self._synthesized(t).rows
 
     def _synthesized(self, t: float) -> _AtTime:
         """The per-t record with its coefficient rows and their magnitudes."""
@@ -219,7 +203,7 @@ class ParameterizedSolution:
         if rec.rows is None:
             if not np.all(np.isfinite(rec.w)):
                 raise FloatingPointError("exp(tH_p) overflows")
-            rows = self.decomposition.staircase.combine(rec.w).reshape(-1, self.n)
+            rows = self.decomposition.rows(rec.w)
             rows.flags.writeable = False
             rec.magnitudes = _row_magnitudes(rows)
             rec.magnitudes.flags.writeable = False
@@ -233,7 +217,7 @@ class ParameterizedSolution:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         with _raise_on_overflow(t):
-            C = self._scaled_coefficients(t)[:k]
+            C = self._synthesized(t).rows[:k]
             if self.gamma != 1.0:
                 # m finite factors: gamma**l alone overflows where scaled rows underflow
                 m = max(1, math.ceil((k - 1) * abs(math.log10(self.gamma)) / 300))
@@ -279,21 +263,18 @@ class ParameterizedSolution:
         The Arnoldi error of the parameter-free problem expands as
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
         (Saad, SINUM 1992). The estimate keeps the leading term: the t-factor
-        |t beta h_{p+1,p} e_p^T phi_1(tH_p) e_1| of the per-t record times the
-        eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||, which contracts all 1+Np
-        blocks of q_{p+1} with the kernel of `evaluate`. The blocks past k_max
-        are the leading part of the series tail, so truncation is covered too.
-        Each distinct eps is contracted once per call. An estimate beyond
-        the float range reads +inf, never NaN. Zero on lucky breakdown (the
-        decomposition is then exact).
-
-        eps values are keyed with their type: a real and a complex eps of
-        equal value take different kernel paths, which may differ in the last
-        bit.
+        of the per-t record times the eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||,
+        which contracts all 1+Np blocks of q_{p+1} with the kernel of `evaluate`.
+        The blocks past k_max are the leading part of the series tail, so
+        truncation is covered too. Each distinct eps is contracted once per
+        call, keyed with its type: a real and a complex eps of equal value take
+        different kernel paths, which may differ in the last bit. An estimate
+        beyond the float range reads +inf, never NaN. Zero on lucky breakdown
+        (the decomposition is then exact).
         """
-        if self.decomposition.breakdown:
+        q = self.decomposition.residual_blocks
+        if q is None:
             return [0.0] * len(targets)
-        q = self.decomposition.residual_vector.reshape(-1, self.n)
         # one record fetch per distinct t: past MAX_CACHED_TIMES, _at recomputes
         t_part = {t: self._at(t).t_factor for t in dict.fromkeys(t for t, _ in targets)}
         eps_part, estimates = {}, []

@@ -108,8 +108,43 @@ def test_lucky_breakdown_scalar_nilpotent():
     assert it.breakdown
     d = it.decomposition()
     assert d.breakdown
-    assert d.residual_norm == 0.0
+    assert d.H[d.p, d.p - 1] == 0.0 and d.at(1.0)[1] == 0.0
     assert d.residual_vector is None
+
+
+@pytest.mark.parametrize("complex_data", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("N", [0, 1, 2, 3])
+def test_decomposition_interface_shapes(N, complex_data):
+    # what a solution reads of a decomposition: w(t) and the t-factor, the
+    # k_max coefficient rows, the 1+Np residual blocks and k_max itself
+    rng = np.random.default_rng(50 + N)
+    n = 5
+    mats = [0.5 * rng.standard_normal((n, n)) for _ in range(N + 1)]
+    u0 = rng.standard_normal(n)
+    if complex_data:
+        mats = [A + 0.5j * rng.standard_normal((n, n)) for A in mats]
+        u0 = u0 + 1j * rng.standard_normal(n)
+    steady = run_arnoldi(MatrixPolynomial(mats), u0, 4)
+    # a diagonal A0, a zero tail and a start vector in three eigenvectors:
+    # lucky breakdown at step 3
+    u0[3:] = 0.0
+    diag = MatrixPolynomial([np.diag(np.arange(1.0, n + 1))] + [np.zeros((n, n))] * N)
+    breaking = run_arnoldi(diag, u0, 7)
+    assert not steady.breakdown and (breaking.breakdown, breaking.p) == (True, 3)
+    for d in (steady, breaking):
+        assert d.k_max == 1 + N * (d.p - 1)
+        w, t_factor = d.at(0.5)
+        assert w.shape == (d.p,) and not w.flags.writeable
+        rows = d.rows(w)
+        assert rows.shape == (d.k_max, n)
+        np.testing.assert_allclose(rows.ravel(), d.Q[:rows.size, :d.p] @ w, rtol=0, atol=1e-12)
+        blocks = d.residual_blocks
+        if d.breakdown:
+            assert blocks is None and t_factor == 0.0
+        else:
+            assert blocks.shape == (1 + N * d.p, n) and not blocks.flags.writeable
+            np.testing.assert_array_equal(blocks.ravel(), d.residual_vector)
+            assert t_factor > 0.0
 
 
 def test_breakdown_invariant_subspace():
@@ -191,7 +226,7 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     np.testing.assert_allclose(d.H, ref.H, rtol=0, atol=1e-12)
     np.testing.assert_allclose(Qfull, ref.Q, rtol=0, atol=1e-12)
     w = rng.standard_normal(d.p)
-    c = d.staircase.combine(w)
+    c = d.rows(w).ravel()
     np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
 
 
@@ -267,7 +302,9 @@ def test_staircase_blocks_cover_only_the_prefixes(N, n, dtype, monkeypatch):
         basis.accumulate(y, W)
         close(y, Y + W @ Q.T)
         w = rng.standard_normal(m)
-        close(basis.combine(w), Q @ w)
+        y = np.zeros(height, dtype=dtype)
+        basis.accumulate(y, w)
+        close(y, Q @ w)
 
 
 def test_overflowing_matvec_raises():

@@ -17,6 +17,7 @@ from paramexpmv.problems import generate, write_problem
 from paramexpmv.reference import dense_solution
 from paramexpmv.solver import build
 from paramexpmv.toeplitz import MatrixPolynomial
+from test_problems import broken_manifest
 
 
 def read_csv(path):
@@ -218,6 +219,17 @@ def test_empty_coefficient_list_is_usage_error(tmp_path, capsys):
     rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind, what", [
+    ("paths", "has no key 'paths'"), ("u0", "has no key 'u0'"), ("json", "invalid JSON"),
+])
+def test_broken_manifest_is_usage_error(tmp_path, capsys, kind, what):
+    manifest = broken_manifest(tmp_path, kind)
+    rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {manifest}: ") and what in err
 
 
 def test_missing_coefficient_file_is_usage_error(tmp_path, capsys):

@@ -186,6 +186,30 @@ def test_manifest_contents(tmp_path):
     assert data["paths"]["coefficients"] == ["A0.mtx", "A1.mtx"]
 
 
+def broken_manifest(tmp_path, kind) -> str:
+    """Path of a written manifest with its paths or its u0 entry removed, or
+    replaced by text that is not JSON."""
+    P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
+    manifest = write_problem(tmp_path / "prob", "advdiff1", P, u0, {})
+    data = json.loads(open(manifest).read())
+    if kind == "paths":
+        del data["paths"]
+    elif kind == "u0":
+        del data["paths"]["u0"]
+    with open(manifest, "w") as fh:
+        fh.write("not json" if kind == "json" else json.dumps(data))
+    return manifest
+
+
+@pytest.mark.parametrize("kind, what", [
+    ("paths", "has no key 'paths'"), ("u0", "has no key 'u0'"), ("json", "invalid JSON"),
+])
+def test_broken_manifest_names_file_and_fault(tmp_path, kind, what):
+    manifest = broken_manifest(tmp_path, kind)
+    with pytest.raises(ValueError, match=re.escape(manifest) + ".*" + re.escape(what)):
+        load_manifest(manifest)
+
+
 def test_load_problem_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.mtx"))):
         load_problem([tmp_path / "nope.mtx"], tmp_path / "u.mtx")

@@ -15,7 +15,7 @@ import paramexpmv.toeplitz
 from paramexpmv import solver
 from paramexpmv.cli import main
 from paramexpmv.problems import gen_advdiff1, gen_advdiff2, generate
-from paramexpmv.reference import dense_coefficients, dense_solution
+from paramexpmv.reference import dense_coefficients, dense_solution, textbook_arnoldi
 from paramexpmv.solver import (
     BoundInputs,
     ParameterizedSolution,
@@ -212,6 +212,30 @@ def test_estimates_past_cap_one_exponential_per_t(order, monkeypatch):
     assert len(calls) == len(ts)
 
 
+def test_solution_from_textbook_arnoldi():
+    # the textbook oracle's degree-0 decomposition serves a solution through
+    # the same interface as the structured iteration's
+    P, u0 = gen_advdiff1(40, 1e-3)
+    P0 = MatrixPolynomial(P.coeffs[:1])
+    S = build(P0, u0, 12)
+    T = ParameterizedSolution(textbook_arnoldi(P0.coeffs[0], u0, 12), P0, S.scaled_poly,
+                              S.gamma, S.bounds)
+    assert T.k_max == S.k_max == 1 and not T.decomposition.breakdown
+
+    def close(x, ref):
+        assert np.linalg.norm(np.subtract(x, ref)) <= 1e-12 * np.linalg.norm(ref)
+
+    for t, eps in [(0.2, 0.0), (0.5, 1e-2), (1.0, 0.3 + 0.1j)]:
+        u = T.evaluate(t, eps)
+        close(u, S.evaluate(t, eps))
+        close(T.coefficients(t), S.coefficients(t))
+        got, ref = T.error_report(t, eps), S.error_report(t, eps)
+        # the estimate is not a bound, but on this problem it exceeds the error
+        assert 0.0 < np.linalg.norm(u - dense_solution(P0, u0, t, eps)) < got.aposteriori_krylov
+        for field in dataclasses.fields(got):
+            close(getattr(got, field.name), getattr(ref, field.name))
+
+
 def test_complex_eps_evaluation():
     rng = np.random.default_rng(2)
     P = random_poly(rng, 4, 1, scale=0.4)
@@ -250,7 +274,7 @@ HORNER_X = [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j]
 def test_evaluate_matches_horner(complex_rows, x):
     S = horner_problem("complex" if complex_rows else "advdiff1")
     t = 0.6
-    rows = S._scaled_coefficients(t)
+    rows = S._synthesized(t).rows
     assert np.iscomplexobj(rows) == complex_rows
     eps = x / S.gamma
     for k in (1, S.k_max // 2, S.k_max):
@@ -331,7 +355,7 @@ def test_evaluate_cut_within_floor_on_random_problems(n, N, complex_coeffs, p, t
 def test_evaluate_at_zero_eps_is_the_first_row():
     S = horner_problem("advdiff2")
     for t in (0.1, 0.6):
-        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._scaled_coefficients(t)[0])
+        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._synthesized(t).rows[0])
 
 
 def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
@@ -341,7 +365,7 @@ def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
     monkeypatch.setattr(solver, "_power_sum", lambda C, x: seen.append(len(C)) or power_sum(C, x))
     u = S.evaluate(0.5, 1e-3)
     assert len(seen) == 1 and 1 <= seen[0] < S.k_max
-    full = power_sum(S._scaled_coefficients(0.5), S.gamma * 1e-3)
+    full = power_sum(S._synthesized(0.5).rows, S.gamma * 1e-3)
     assert np.linalg.norm(u - full) <= 1e-15 * np.linalg.norm(full)
 
 
@@ -452,7 +476,7 @@ def test_aposteriori_estimate_matches_horner(name, x):
     v = horner(K.residual_vector.reshape(-1, S.n), x)
     # the t-factor from the decomposition, not from the per-t record under test
     s1 = paramexpmv.matfun.phi_columns(K.hessenberg, t)[1][-1]
-    ref = abs(t * K.beta * K.residual_norm * s1) * np.linalg.norm(v)
+    ref = abs(t * K.beta * float(K.H[K.p, K.p - 1].real) * s1) * np.linalg.norm(v)
     assert ref > 0.0
     assert abs(S.aposteriori_krylov(t, eps) - ref) <= 1e-13 * ref
 
@@ -466,14 +490,14 @@ def test_evaluate_finite_when_gamma_eps_power_overflows(t):
     assert S.gamma == 1e4 and S.k_max == 200
     u = S.evaluate(t, 0.01)
     assert np.all(np.isfinite(u))
-    ref = horner(S._scaled_coefficients(t), 100.0)
+    ref = horner(S._synthesized(t).rows, 100.0)
     assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_complex_eps_evaluate_does_not_copy_real_rows():
     P, u0 = gen_advdiff1(500, 1e-3)
     S = build(P, u0, 30)
-    rows = S._scaled_coefficients(0.5)
+    rows = S._synthesized(0.5).rows
     assert rows.dtype == np.float64
     tracemalloc.start()
     try:
@@ -683,6 +707,33 @@ def test_overflowing_exponential_raises():
     assert np.all(np.isfinite(S.coefficients(-10)))
 
 
+@pytest.mark.parametrize("t", [1e308, -1e308])
+def test_overflowing_t_h_gives_documented_outcomes(t):
+    # t H_p itself overflows for this finite t, which the exponential refuses
+    # as non-finite input: evaluate and coefficients raise FloatingPointError
+    # naming t (and eps), the estimate reads +inf, and a negative t is refused
+    # where an estimate is asked for
+    P, u0 = gen_advdiff1(50, 3e-4)
+    S = build(P, u0, 10)
+    with np.errstate(over="ignore"):
+        assert not np.all(np.isfinite(t * S.decomposition.hessenberg))
+    with pytest.raises(FloatingPointError, match=re.escape(f"t={t}, eps=0.01")):
+        S.evaluate(t, 1e-2)
+    with pytest.raises(FloatingPointError, match=re.escape(f"t={t}")):
+        S.coefficients(t)
+    def adaptive(t, eps):
+        return solve_adaptive(P, u0, [(t, eps)], tol=1e-8, p_max=10)
+
+    if t < 0:
+        for call in (S.aposteriori_krylov, S.error_report, adaptive):
+            with pytest.raises(ValueError, match="t must be positive"):
+                call(t, 1e-2)
+        return
+    assert S.aposteriori_krylov(t, 1e-2) == S.error_report(t, 1e-2).total_estimate == math.inf
+    res = adaptive(t, 1e-2)
+    assert not res.converged and res.reports[0].total_estimate == math.inf
+
+
 @pytest.mark.parametrize("eps", [1e300j, 1e150 + 1e150j, 1e100])
 def test_overflowing_power_sum_raises(eps):
     # the power sum overflows (to NaN for the complex eps, to inf for the
@@ -701,7 +752,7 @@ def test_overflowing_gamma_scaling_raises():
     P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
     S = build(P, np.ones(1), 60)
     assert S.gamma == 1e4
-    assert np.all(np.isfinite(S._scaled_coefficients(1e4)))
+    assert np.all(np.isfinite(S._synthesized(1e4).rows))
     assert np.all(np.isfinite(S.coefficients(1e4, 46)))
     with pytest.raises(FloatingPointError, match="t=10000"):
         S.coefficients(1e4)
