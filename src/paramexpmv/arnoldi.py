@@ -44,6 +44,16 @@ CHUNK = 16
 SLAB = 8192
 
 
+def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """Upper bound on max_i |rows[l, i]| for each row l, with no temporary
+    the size of the rows: sqrt(2) max(|Re|, |Im|) for complex rows, +inf
+    past the float range."""
+    if np.iscomplexobj(rows):
+        with np.errstate(over="ignore"):
+            return math.sqrt(2.0) * _row_magnitudes(rows.view(rows.real.dtype))
+    return np.maximum(rows.max(axis=1), -rows.min(axis=1))
+
+
 class StaircaseBasis:
     """Growing set of basis columns, column j holding n*(1+j*N) entries.
 
@@ -52,7 +62,11 @@ class StaircaseBasis:
     Chunks are never reallocated and stored columns never change, so views
     and readers of the first m columns stay valid while columns are appended.
     Entries of a chunk below a column's prefix are zero; readers go through
-    `_blocks`, which leaves out of each slab the columns that end above it.
+    `_blocks`, which leaves out of each slab the columns that end above it,
+    and which can read a window of rows alone. Each chunk also keeps, for
+    each of its columns, an upper bound on the largest magnitude in each
+    block of n rows (`_row_magnitudes`), so `row_bounds` can bound the
+    blocks of Q_m w without reading the chunks.
     """
 
     def __init__(self, n: int, N: int, dtype):
@@ -60,6 +74,7 @@ class StaircaseBasis:
         self.N = N
         self.dtype = np.dtype(dtype)
         self._chunks: list[np.ndarray] = []
+        self._maxima: list[np.ndarray] = []  # (blocks, CHUNK) per chunk
         self._count = 0
 
     def length(self, j: int) -> int:
@@ -84,7 +99,11 @@ class StaircaseBasis:
         if j % CHUNK == 0:
             height = self.length(j + CHUNK - 1)
             self._chunks.append(np.zeros((height, CHUNK), dtype=self.dtype, order="F"))
-        self._chunks[-1][:v.size, j % CHUNK] = v
+            self._maxima.append(np.zeros((height // self.n, CHUNK)))
+        column = self._chunks[-1][:v.size, j % CHUNK]
+        column[:] = v
+        self._maxima[-1][:v.size // self.n, j % CHUNK] = _row_magnitudes(
+            column.reshape(-1, self.n))
         self._count = j + 1
 
     def column(self, j: int) -> np.ndarray:
@@ -95,22 +114,26 @@ class StaircaseBasis:
         v.flags.writeable = False
         return v
 
-    def _blocks(self, m: int):
-        """(first column, first row, block) triples covering columns 0..m-1.
+    def _blocks(self, m: int, start: int = 0, stop: int | None = None):
+        """(first column, first row, block) triples covering columns 0..m-1,
+        in the slabs whose first row r has start <= r < stop (all by default).
 
         Each chunk is cut to the prefix of its last column and into slabs of
-        at most `SLAB` rows. A slab starting at row r holds only the columns
-        whose prefix reaches row r, so the zeros below a column's prefix are
-        read only within the slab that holds its last stored row.
+        at most `SLAB` rows, starting at multiples of `SLAB`. A slab starting
+        at row r holds only the columns whose prefix reaches row r, so the
+        zeros below a column's prefix are read only within the slab that
+        holds its last stored row. A window reads the same slabs as the full
+        pass does, so a row read in pieces gets the same products.
         """
         if not 0 <= m <= self._count:
             raise ValueError(f"{m} columns requested, {self._count} stored")
         n, step = self.n, self.n * self.N
+        first = -(-start // SLAB) * SLAB
         for a in range(0, m, CHUNK):
             b = min(a + CHUNK, m)
             height = self.length(b - 1)
             chunk = self._chunks[a // CHUNK]
-            for r in range(0, height, SLAB):
+            for r in range(first, height if stop is None else min(stop, height), SLAB):
                 # first column c with length(c) = n + c*step > r
                 c = a if r < n else max(a, (r - n) // step + 1)
                 yield c, r, chunk[r:min(r + SLAB, height), c - a:b - a]
@@ -127,11 +150,26 @@ class StaircaseBasis:
             G[:, a:a + B.shape[1]] += Yc[:, r:r + B.shape[0]] @ B
         return G.conj()
 
-    def accumulate(self, y: np.ndarray, w: np.ndarray) -> None:
-        """y += Q_m w in place, with m = w.shape[-1]; for a 2-D y and w, row
-        by row, one BLAS product per slab over all rows."""
-        for a, r, B in self._blocks(w.shape[-1]):
+    def accumulate(self, y: np.ndarray, w: np.ndarray, start: int = 0,
+                   stop: int | None = None) -> None:
+        """y += Q_m w in place, with m = w.shape[-1], over the slabs of
+        `_blocks(m, start, stop)`; for a 2-D y and w, row by row, one BLAS
+        product per slab over all rows."""
+        for a, r, B in self._blocks(w.shape[-1], start, stop):
             y[..., r:r + B.shape[0]] += w[..., a:a + B.shape[1]] @ B.T
+
+    def row_bounds(self, w: np.ndarray) -> np.ndarray:
+        """M_l = sum_j |w_j| nu_lj for each block l of column m-1 (m = len(w)),
+        nu_lj the kept bound on block l of column j, so every entry of block
+        l of Q_m w is at most M_l in magnitude; +inf past the float range."""
+        w = np.abs(w)
+        M = np.zeros(self.length(len(w) - 1) // self.n)
+        with np.errstate(over="ignore"):
+            for a in range(0, len(w), CHUNK):
+                b = min(a + CHUNK, len(w))
+                nu = self._maxima[a // CHUNK][:self.length(b - 1) // self.n, :b - a]
+                M[:len(nu)] += nu @ w[a:b]
+        return M
 
     def dense(self, m: int) -> np.ndarray:
         """The first m columns zero-padded to column m-1's length, as a new array."""
@@ -152,8 +190,9 @@ class KrylovDecomposition:
     matrix with nonnegative subdiagonal. On lucky breakdown there are only
     p columns and the last row of `H` is zero: the decomposition is exact.
     `Q` is a dense zero-padded copy of the columns, built on first access,
-    for tests and inspection. A solution reads only `at`, `rows`,
-    `residual_blocks`, `k_max` and `truncate`, so the layout stays here.
+    for tests and inspection. A solution reads only `at`, `row_bounds`,
+    `form_rows`, `residual_blocks`, `k_max` and `truncate`, so the layout
+    stays here.
     """
 
     staircase: StaircaseBasis
@@ -209,14 +248,44 @@ class KrylovDecomposition:
         return w, t_factor
 
     def rows(self, w: np.ndarray) -> np.ndarray:
-        """The k_max coefficient rows Q_p w for a w of length p, shape (k_max, n)."""
+        """The k_max coefficient rows Q_p w for a w of length p, shape (k_max, n),
+        from one pass over the basis (`form_rows` of all rows)."""
         basis = self.staircase
-        out = np.empty(basis.length(self.p - 1), dtype=np.result_type(basis.dtype, w.dtype))
+        out = np.empty((self.k_max, basis.n), dtype=np.result_type(basis.dtype, w.dtype))
+        self.form_rows(w, out, 0, self.k_max)
+        return out
+
+    def form_rows(self, w: np.ndarray, out: np.ndarray, formed: int, k: int) -> int:
+        """Form coefficient rows formed..k-1 of Q_p w in out, a C-order
+        (k_max, n) array holding the first `formed` rows from earlier calls;
+        returns how many leading rows are now formed (at least k).
+
+        Rows are formed whole basis slabs at a time, with the products of
+        the full pass, so rows formed in pieces are those of `rows` bit for
+        bit; rows past the last slab formed are not written.
+        """
+        basis, n = self.staircase, self.staircase.n
+        flat = out.reshape(-1)
+        # the formed rows end at the first slab boundary past them (or at the end)
+        start = -(-formed * n // SLAB) * SLAB
+        stop = min(-(-k * n // SLAB) * SLAB, flat.size)
+        if start >= stop:
+            return formed
         # written before the products read it: np.zeros' pages would fault on
         # the read (zero page) and again on the first write (copy)
-        out.fill(0)
-        basis.accumulate(out, w)
-        return out.reshape(-1, basis.n)
+        flat[start:stop].fill(0)
+        basis.accumulate(flat, w, start, stop)
+        return stop // n
+
+    def row_bounds(self, w: np.ndarray) -> np.ndarray:
+        """M_l >= `_row_magnitudes` of row l of Q_p w for each of the k_max rows,
+        from the block bounds the basis keeps: one (k_max, p) product, no read
+        of the basis. M_l = sum_j |w_j| nu_lj, times sqrt(2) for complex rows
+        (whose magnitudes carry that factor); +inf past the float range."""
+        M = self.staircase.row_bounds(w)
+        if np.iscomplexobj(w) or self.staircase.dtype.kind == "c":
+            M *= math.sqrt(2.0)
+        return M
 
     def truncate(self, p: int) -> "KrylovDecomposition":
         """Decomposition after only the first p steps (shares storage)."""

@@ -179,17 +179,27 @@ def write_problem(out_dir, name: str, P: MatrixPolynomial, u0, parameters: dict)
 def load_manifest(manifest_path) -> tuple[MatrixPolynomial, np.ndarray]:
     """Load a problem from a JSON manifest (paths relative to the manifest).
 
-    Invalid JSON and a missing key raise ValueError naming the manifest.
+    Invalid JSON, a missing key and a value of the wrong type raise
+    ValueError naming the manifest and the key.
     """
     with open(manifest_path) as fh:
         try:
             manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{manifest_path}: invalid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{manifest_path}: manifest is not a JSON object")
     try:
-        coefficients, u0 = manifest["paths"]["coefficients"], manifest["paths"]["u0"]
+        paths = manifest["paths"]
+        if not isinstance(paths, dict):
+            raise ValueError(f"{manifest_path}: 'paths' is not a JSON object")
+        coefficients, u0 = paths["coefficients"], paths["u0"]
     except KeyError as exc:
         raise ValueError(f"{manifest_path}: manifest has no key {exc}") from None
+    if not (isinstance(coefficients, list) and all(isinstance(f, str) for f in coefficients)):
+        raise ValueError(f"{manifest_path}: 'coefficients' is not a list of strings")
+    if not isinstance(u0, str):
+        raise ValueError(f"{manifest_path}: 'u0' is not a string")
     base = os.path.dirname(os.path.abspath(manifest_path))
     matrix_paths = [os.path.join(base, f) for f in coefficients]
     return load_problem(matrix_paths, os.path.join(base, u0))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arnoldi import InfiniteArnoldi, KrylovDecomposition, run_arnoldi
+from .arnoldi import InfiniteArnoldi, KrylovDecomposition, _row_magnitudes, run_arnoldi
 from .linalg import _as_int, log_norm_bound
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
@@ -153,13 +153,17 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
 @dataclass
 class _AtTime:
     """What a solution knows at one t: w and the t-factor of the decomposition's
-    `at`, and, once asked for, the k_max scaled coefficient rows and an upper
-    bound on each row's largest magnitude (all arrays read-only)."""
+    `at`, and, once rows are asked for, a (k_max, n) array of scaled
+    coefficient rows, the first `formed` of them formed, and an upper bound
+    on each row's largest magnitude: `_row_magnitudes` below `formed`, the
+    decomposition's `row_bounds` above. Both arrays turn read-only once all
+    rows are formed; before that only read-only views leave the solution."""
 
     w: np.ndarray
     t_factor: float
     rows: np.ndarray | None = None
     magnitudes: np.ndarray | None = None
+    formed: int = 0
 
 
 class ParameterizedSolution:
@@ -197,18 +201,25 @@ class ParameterizedSolution:
                 self._at_time[t] = rec
         return rec
 
-    def _synthesized(self, t: float) -> _AtTime:
-        """The per-t record with its coefficient rows and their magnitudes."""
-        rec = self._at(t)
+    def _form(self, rec: _AtTime, k: int) -> _AtTime:
+        """rec with at least its first k coefficient rows formed (with k = 0,
+        only the row bounds); each row is formed once, by `form_rows`."""
         if rec.rows is None:
             if not np.all(np.isfinite(rec.w)):
                 raise FloatingPointError("exp(tH_p) overflows")
-            rows = self.decomposition.rows(rec.w)
-            rows.flags.writeable = False
-            rec.magnitudes = _row_magnitudes(rows)
-            rec.magnitudes.flags.writeable = False
-            rec.rows = rows
+            rec.rows = np.empty((self.k_max, self.n), dtype=rec.w.dtype)
+            rec.magnitudes = self.decomposition.row_bounds(rec.w)
+        if rec.formed < k:
+            done = rec.formed
+            rec.formed = self.decomposition.form_rows(rec.w, rec.rows, done, k)
+            rec.magnitudes[done:rec.formed] = _row_magnitudes(rec.rows[done:rec.formed])
+            if rec.formed == self.k_max:
+                rec.rows.flags.writeable = rec.magnitudes.flags.writeable = False
         return rec
+
+    def _synthesized(self, t: float, k: int | None = None) -> _AtTime:
+        """The per-t record with its first k (default all) coefficient rows formed."""
+        return self._form(self._at(t), self.k_max if k is None else k)
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
         """First k expansion coefficients at time t, shape (k, n); k defaults to
@@ -217,7 +228,8 @@ class ParameterizedSolution:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         with _raise_on_overflow(t):
-            C = self._synthesized(t).rows[:k]
+            C = self._synthesized(t, k).rows[:k]
+            C.flags.writeable = False
             if self.gamma != 1.0:
                 # m finite factors: gamma**l alone overflows where scaled rows underflow
                 m = max(1, math.ceil((k - 1) * abs(math.log10(self.gamma)) / 300))
@@ -234,16 +246,22 @@ class ParameterizedSolution:
         the fewest leading rows whose left-out terms sum to at most
         u sum_l |x|^l m_l (u the float64 unit roundoff), a bound on the
         rounding error of the full sum; so in exact arithmetic the answer is
-        within that of the sum of all k_max terms (`_rows_needed`). Costs one
-        matrix-vector product over the cached (L, n) coefficient rows, plus
-        coefficient synthesis on the first call at a new t. Overflow raises
-        FloatingPointError.
+        within that of the sum of all k_max terms (`_rows_needed`). Rows are
+        formed on demand, until their m_l and the bounds M_l >= m_l of the
+        rows not formed settle L (`_cut`), so L and the answer do not depend
+        on which rows earlier calls formed. Costs one matrix-vector product
+        over the (L, n) leading rows, plus a pass over the basis for the rows
+        not formed yet and, at a new t, one small exponential. Overflow
+        raises FloatingPointError.
         """
         eps = _check_eps(eps)
         with _raise_on_overflow(t, eps):
-            rec = self._synthesized(t)
             x = self.gamma * eps
-            return _power_sum(rec.rows[:_rows_needed(rec.magnitudes, x)], x)
+            rec = self._form(self._at(t), 0)
+            while (L := _cut(rec.magnitudes, rec.formed, x)) is None:
+                guess = _rows_needed(rec.magnitudes, x)
+                self._form(rec, min(self.k_max, max(guess, rec.formed) + 1))
+            return _power_sum(rec.rows[:L], x)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -343,16 +361,6 @@ def _raise_on_overflow(t, eps=None):
         raise FloatingPointError(f"{exc} at {at}") from None
 
 
-def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
-    """Upper bound on max_i |rows[l, i]| for each row l, with no temporary
-    the size of the rows: sqrt(2) max(|Re|, |Im|) for complex rows, +inf
-    past the float range."""
-    if np.iscomplexobj(rows):
-        with np.errstate(over="ignore"):
-            return math.sqrt(2.0) * _row_magnitudes(rows.view(rows.real.dtype))
-    return np.maximum(rows.max(axis=1), -rows.min(axis=1))
-
-
 def _rows_needed(magnitudes: np.ndarray, x) -> int:
     """Fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
     for m = magnitudes and u = 2^-53, the float64 unit roundoff.
@@ -374,6 +382,42 @@ def _rows_needed(magnitudes: np.ndarray, x) -> int:
     # tails[L] = sum_{l>=L} of the terms over the largest; it does not increase
     tails = np.cumsum(np.exp(logs - top)[::-1])[::-1]
     return 1 + int(np.count_nonzero(tails[1:] > 2.0 ** -53 * tails[0]))
+
+
+def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
+    """The `_rows_needed` cut of all rows, from the magnitudes of the first
+    `formed` rows and upper bounds on the others (both in `magnitudes`), or
+    None while these do not settle it.
+
+    The terms |x|^l m_l left out at L sum to between s_L, the formed ones,
+    and s_L + b, b the bounded rest. L is settled when it surely meets the
+    floor of `_rows_needed` and L - 1 surely does not, by a relative margin
+    of 2^-20 that covers the rounding of both computations.
+    """
+    k, ax = len(magnitudes), abs(x)
+    if formed == k:
+        return _rows_needed(magnitudes, x)
+    if formed == 0:
+        return None
+    if ax == 0.0:
+        return 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = np.log(magnitudes) + math.log(ax) * np.arange(k)
+    top = logs.max()
+    if not math.isfinite(top):
+        return 1 if top == -math.inf else None
+    terms = np.exp(logs - top)
+    margin = 2.0 ** -20
+    # s[L] = sum of the formed terms from L on, s[formed] = 0
+    s = np.append(np.cumsum(terms[formed - 1::-1])[::-1], 0.0)
+    b = float(terms[formed:].sum()) * (1 + margin)
+    meets = s[1:] + b <= 2.0 ** -53 * s[0] * (1 - margin)
+    if not meets.any():
+        return None
+    L = 1 + int(np.argmax(meets))
+    if L > 1 and not s[L - 1] > 2.0 ** -53 * (s[0] + b) * (1 + margin):
+        return None
+    return L
 
 
 def _power_sum(C: np.ndarray, x) -> np.ndarray:

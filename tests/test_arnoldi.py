@@ -346,3 +346,64 @@ def test_orthonormal_basis_at_scale():
     G = np.tril(G) + np.tril(G, -1).T
     assert np.linalg.norm(G - np.eye(m), 2) <= 1e-14
 
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), N=st.integers(0, 3), complex_coeffs=st.booleans(),
+       complex_w=st.booleans(), p=st.integers(1, 2 * CHUNK + 3), keep=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_row_bounds_dominate_the_rows(n, N, complex_coeffs, complex_w, p, keep, seed):
+    # M_l bounds every entry of row l of Q_p w, and the magnitudes a solution
+    # keeps for it (sqrt(2) max(|Re|, |Im|) for complex rows), for full and
+    # truncated decompositions
+    rng = np.random.default_rng(seed)
+    mats = [rng.standard_normal((n, n)) for _ in range(N + 1)]
+    if complex_coeffs:
+        mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
+    d = run_arnoldi(MatrixPolynomial([0.5 * A for A in mats]), rng.standard_normal(n), p)
+    if d.p > 1:
+        d = d.truncate(max(1, round(keep * d.p)))
+    for w in (d.at(0.3)[0], rng.standard_normal(d.p) * 10.0 ** rng.uniform(-5, 5, d.p)):
+        if complex_w:
+            w = w + 1j * rng.standard_normal(d.p)
+        rows, M = d.rows(w), d.row_bounds(w)
+        assert M.shape == (d.k_max,) and np.all(np.isfinite(M))
+        slack = 1 + 1e-12
+        assert np.all(np.abs(rows).max(axis=1) <= M * slack)
+        assert np.all(paramexpmv.arnoldi._row_magnitudes(rows) <= M * slack)
+
+
+@pytest.mark.parametrize("slab", [7, 11, 8192])
+@pytest.mark.parametrize("N", [0, 1, 2])
+def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
+    # any sequence of form_rows calls writes each row once, with the bits of
+    # rows(w), and leaves the rows past the last slab it formed unwritten;
+    # 11-row slabs are one row of n = 11, 7-row slabs cut the rows
+    monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", slab)
+    rng = np.random.default_rng(7 + N)
+    n = 11
+    d = run_arnoldi(random_poly(rng, n, N), rng.standard_normal(n), 2 * CHUNK + 3)
+    w = d.at(0.4)[0]
+    ref = d.rows(w)
+    written = []
+    blocks = StaircaseBasis._blocks
+
+    def logged(self, m, start=0, stop=None):
+        for c, r, B in blocks(self, m, start, stop):
+            written.append((c, r))
+            yield c, r, B
+
+    monkeypatch.setattr(StaircaseBasis, "_blocks", logged)
+    for ks in ([d.k_max], [1, 2, 3, d.k_max], [5, 4, 9, d.k_max - 1, d.k_max]):
+        out = np.full_like(ref, np.nan)
+        formed = 0
+        written.clear()
+        for k in ks:
+            k = min(k, d.k_max)
+            new = d.form_rows(w, out, formed, k)
+            assert new >= max(formed, k) and (slab % n or new == max(formed, k))
+            formed = new
+            np.testing.assert_array_equal(out[:formed], ref[:formed])
+            assert np.isnan(out[formed + 1:]).all()
+        assert formed == d.k_max and len(written) == len(set(written))
+        np.testing.assert_array_equal(out, ref)

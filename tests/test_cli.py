@@ -17,7 +17,7 @@ from paramexpmv.problems import generate, write_problem
 from paramexpmv.reference import dense_solution
 from paramexpmv.solver import build
 from paramexpmv.toeplitz import MatrixPolynomial
-from test_problems import broken_manifest
+from test_problems import MISTYPED, broken_manifest, mistyped_manifest
 
 
 def read_csv(path):
@@ -230,6 +230,14 @@ def test_broken_manifest_is_usage_error(tmp_path, capsys, kind, what):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {manifest}: ") and what in err
+
+
+@pytest.mark.parametrize("kind, what", MISTYPED)
+def test_mistyped_manifest_is_usage_error(tmp_path, capsys, kind, what):
+    manifest = mistyped_manifest(tmp_path, kind)
+    rc = main(["solve", "--manifest", manifest, "--t", "0.5", "--p", "5"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {manifest}: {what}\n"
 
 
 def test_missing_coefficient_file_is_usage_error(tmp_path, capsys):

@@ -210,6 +210,42 @@ def test_broken_manifest_names_file_and_fault(tmp_path, kind, what):
         load_manifest(manifest)
 
 
+def mistyped_manifest(tmp_path, kind) -> str:
+    """Path of a written manifest with one value of the wrong JSON type."""
+    P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
+    manifest = write_problem(tmp_path / "prob", "advdiff1", P, u0, {})
+    data = json.loads(open(manifest).read())
+    if kind == "array":
+        data = [data]
+    elif kind == "paths":
+        data["paths"] = ["A0.mtx", "A1.mtx", "u0.mtx"]
+    elif kind == "coefficients":
+        data["paths"]["coefficients"] = "A0.mtx"
+    elif kind == "coefficient":
+        data["paths"]["coefficients"] = ["A0.mtx", 1]
+    else:
+        data["paths"]["u0"] = ["u0.mtx"]
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    return manifest
+
+
+MISTYPED = [
+    ("array", "manifest is not a JSON object"),
+    ("paths", "'paths' is not a JSON object"),
+    ("coefficients", "'coefficients' is not a list of strings"),
+    ("coefficient", "'coefficients' is not a list of strings"),
+    ("u0", "'u0' is not a string"),
+]
+
+
+@pytest.mark.parametrize("kind, what", MISTYPED)
+def test_mistyped_manifest_names_file_and_key(tmp_path, kind, what):
+    manifest = mistyped_manifest(tmp_path, kind)
+    with pytest.raises(ValueError, match=re.escape(manifest) + ": " + re.escape(what)):
+        load_manifest(manifest)
+
+
 def test_load_problem_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "nope.mtx"))):
         load_problem([tmp_path / "nope.mtx"], tmp_path / "u.mtx")

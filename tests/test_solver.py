@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import re
 import tracemalloc
 
@@ -1033,3 +1034,153 @@ def test_build_rejects_nan_coefficients():
     P = MatrixPolynomial([A0, np.eye(3)])
     with pytest.raises(FloatingPointError, match="step 1"):
         build(P, np.ones(3), 4, gamma=1.0)
+
+
+def test_readme_library_usage_runs():
+    # the README's "Library usage" block, run as written
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    block = re.search(r"^## Library usage\n+```python\n(.*?)^```$", readme, re.M | re.S).group(1)
+    ns = {}
+    exec(compile(block, "README.md", "exec"), ns)
+    P, u0, S, result = ns["P"], ns["u0"], ns["S"], ns["result"]
+    assert result.converged and S.k_max >= 10
+    np.testing.assert_allclose(ns["u"], dense_solution(P, u0, 0.5, 3e-2),
+                               rtol=0, atol=1e-7 * np.linalg.norm(u0))
+    # the later coefficients are large, and less accurate than the first
+    D = dense_coefficients(P, u0, 0.5, 10)
+    assert np.all(np.abs(ns["C"] - D).max(axis=1) <= 1e-5 * np.abs(D).max(axis=1))
+    assert ns["rep"].total_estimate <= 1e-8
+    assert ns["rep"] == S.error_report(0.5, 3e-2)
+
+
+def test_fresh_evaluate_forms_only_the_rows_it_needs():
+    # 200 rows of n = 400: the cut at small |gamma eps| is settled from the
+    # first of the 10 basis slabs, and the answer is that of all rows formed
+    S = build(*gen_advdiff1(400, 3e-4), 200)
+    u = S.evaluate(0.5, 1e-3)
+    rec = S._at_time[0.5]
+    assert 1 <= rec.formed < S.k_max // 4
+    full = S.with_p(S.p)
+    full._synthesized(0.5)
+    np.testing.assert_array_equal(full.evaluate(0.5, 1e-3), u)
+
+
+def test_partly_formed_rows_are_handed_out_read_only(monkeypatch):
+    P, u0 = gen_advdiff1(50, 3e-4)
+    S = build(P, u0, 10, gamma=1.0)
+    monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
+    C = S.coefficients(0.5, 2)
+    assert S._at_time[0.5].formed == 2
+    with pytest.raises(ValueError):
+        C[:] = 0.0
+    before = S.evaluate(0.5, 1e-2)
+    with pytest.raises(ValueError):
+        S.coefficients(0.5, 5)[:] = 0.0
+    np.testing.assert_array_equal(S.evaluate(0.5, 1e-2), before)
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 22])
+def test_coefficients_form_exactly_k_rows(k, monkeypatch):
+    # with slabs of one row (n = 30) forming k rows reads k rows of the basis
+    S = build(*gen_advdiff2(30, 3e-4, 2e2), 12)
+    monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
+    C = S.coefficients(0.5, k)
+    assert S._at_time[0.5].formed == k and C.shape == (k, S.n)
+    np.testing.assert_array_equal(C, S.with_p(S.p).coefficients(0.5)[:k])
+
+
+def query_list(S):
+    """evaluate at small, large and complex eps and coefficients, at two t."""
+    queries = [("coefficients", t, k) for t in (0.2, 0.6) for k in (3, S.k_max // 2)]
+    queries += [("evaluate", t, eps) for t in (0.2, 0.6)
+                for eps in (0.0, 1e-4, 2e-3 - 1e-3j, 1e-2, 0.05, 0.4)]
+    return queries
+
+
+def answers(S, queries):
+    return {q: getattr(S, q[0])(*q[1:]) for q in queries}
+
+
+@pytest.mark.parametrize("slab", [16, 300, 8192])
+def test_answers_do_not_depend_on_call_order(slab, monkeypatch):
+    # n = 300 and 16-row slabs cut the rows, 300-row slabs are one row each
+    monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", slab)
+    S = build(*gen_advdiff2(300, 3e-4, 2e2), 30)
+    queries = query_list(S)
+    rows_first = S.with_p(S.p)
+    for t in (0.2, 0.6):
+        rows_first._synthesized(t)
+    ref = answers(rows_first, queries)
+    rng = np.random.default_rng(slab)
+    for _ in range(3):
+        order = [queries[i] for i in rng.permutation(len(queries))]
+        got = answers(S.with_p(S.p), order)
+        for q in queries:
+            np.testing.assert_array_equal(got[q], ref[q])
+
+
+def test_each_row_is_formed_once_per_t(monkeypatch):
+    S = build(*gen_advdiff2(300, 3e-4, 2e2), 30)
+    monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", 64)
+    formed = []
+    form_rows = paramexpmv.arnoldi.KrylovDecomposition.form_rows
+
+    def logged(self, w, out, done, k):
+        formed.append((done, k))
+        return form_rows(self, w, out, done, k)
+
+    read = []
+    accumulate = paramexpmv.arnoldi.StaircaseBasis.accumulate
+
+    def counted(self, y, w, start=0, stop=None):
+        read.extend((c, r) for c, r, _ in self._blocks(w.shape[-1], start, stop))
+        accumulate(self, y, w, start, stop)
+
+    monkeypatch.setattr(paramexpmv.arnoldi.KrylovDecomposition, "form_rows", logged)
+    monkeypatch.setattr(paramexpmv.arnoldi.StaircaseBasis, "accumulate", counted)
+    for q in query_list(S) + [("coefficients", 0.2, None), ("coefficients", 0.6, None)]:
+        getattr(S, q[0])(*q[1:])
+    # each (first column, first row) slab of the basis once per t
+    full = [(c, r) for c, r, _ in S.decomposition.staircase._blocks(S.p)]
+    assert sorted(read) == sorted(full + full)
+    assert len(formed) > 2
+
+
+# factorially decaying magnitudes, as the rows have, and arbitrary ones
+MAGNITUDES = st.one_of(
+    st.builds(lambda scale, noise: 10.0 ** (scale - np.cumsum(noise)),
+              st.floats(-200, 200), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40)),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=MAGNITUDES, over=st.lists(st.floats(1.0, 1e30), min_size=40, max_size=40),
+       x=st.one_of(st.just(0.0), st.floats(-30.0, 30.0), st.complex_numbers(max_magnitude=30.0),
+                   st.floats(-1e3, 1e3)))
+def test_cut_from_leading_rows_is_the_cut_of_all_rows(m, over, x):
+    # with the magnitudes of the first F rows and bounds on the others, _cut
+    # returns the cut of all magnitudes or defers to more rows; with all
+    # rows it is that cut
+    m = np.asarray(m, dtype=float)
+    with np.errstate(over="ignore"):
+        bounds = m * np.array(over[:len(m)])
+    want = solver._rows_needed(m, x)
+    for F in range(len(m) + 1):
+        mixed = np.concatenate([m[:F], bounds[F:]])
+        got = solver._cut(mixed, F, x)
+        assert got in (None, want)
+    assert solver._cut(m, len(m), x) == want
+
+
+def test_cut_defers_while_the_bounds_leave_it_open():
+    # the left-out terms of row 1 on are 0.6u, below the floor u * (1 + 0.6u),
+    # so the cut is 1; a bound of 0.6u on row 2 alone, 6 times its magnitude,
+    # could put the cut at 2, so two formed rows settle nothing
+    m = np.array([1.0, 0.5 * U, 0.1 * U])
+    assert solver._rows_needed(m, 1.0) == 1
+    assert solver._cut(np.array([1.0, 0.5 * U, 0.6 * U]), 2, 1.0) is None
+    assert solver._cut(np.array([1.0, 0.5 * U, 0.2 * U]), 2, 1.0) == 1
+    assert solver._cut(m, 3, 1.0) == 1
+    # a non-finite bound, or none formed, settles nothing; x = 0 needs row 0
+    assert solver._cut(np.array([1.0, math.inf]), 1, 1e-3) is None
+    assert solver._cut(m, 0, 0.0) is None and solver._cut(m, 1, 0.0) == 1
