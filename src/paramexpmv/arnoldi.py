@@ -66,7 +66,8 @@ class StaircaseBasis:
     and which can read a window of rows alone. Each chunk also keeps, for
     each of its columns, an upper bound on the largest magnitude in each
     block of n rows (`_row_magnitudes`), so `row_bounds` can bound the
-    blocks of Q_m w without reading the chunks.
+    blocks of Q_m w without reading the chunks, and `CoefficientRows` forms
+    only the blocks a caller asks for.
     """
 
     def __init__(self, n: int, N: int, dtype):
@@ -116,7 +117,8 @@ class StaircaseBasis:
 
     def _blocks(self, m: int, start: int = 0, stop: int | None = None):
         """(first column, first row, block) triples covering columns 0..m-1,
-        in the slabs whose first row r has start <= r < stop (all by default).
+        in the slabs whose first row r has start <= r < stop (all by default),
+        start a multiple of `SLAB`.
 
         Each chunk is cut to the prefix of its last column and into slabs of
         at most `SLAB` rows, starting at multiples of `SLAB`. A slab starting
@@ -128,12 +130,11 @@ class StaircaseBasis:
         if not 0 <= m <= self._count:
             raise ValueError(f"{m} columns requested, {self._count} stored")
         n, step = self.n, self.n * self.N
-        first = -(-start // SLAB) * SLAB
         for a in range(0, m, CHUNK):
             b = min(a + CHUNK, m)
             height = self.length(b - 1)
             chunk = self._chunks[a // CHUNK]
-            for r in range(first, height if stop is None else min(stop, height), SLAB):
+            for r in range(start, height if stop is None else min(stop, height), SLAB):
                 # first column c with length(c) = n + c*step > r
                 c = a if r < n else max(a, (r - n) // step + 1)
                 yield c, r, chunk[r:min(r + SLAB, height), c - a:b - a]
@@ -190,9 +191,9 @@ class KrylovDecomposition:
     matrix with nonnegative subdiagonal. On lucky breakdown there are only
     p columns and the last row of `H` is zero: the decomposition is exact.
     `Q` is a dense zero-padded copy of the columns, built on first access,
-    for tests and inspection. A solution reads only `at`, `row_bounds`,
-    `form_rows`, `residual_blocks`, `k_max` and `truncate`, so the layout
-    stays here.
+    for tests and inspection. A solution reads only `at`,
+    `coefficient_rows`, `residual_blocks`, `k_max` and `truncate`, so the
+    layout stays in this module.
     """
 
     staircase: StaircaseBasis
@@ -247,45 +248,9 @@ class KrylovDecomposition:
         w.flags.writeable = False
         return w, t_factor
 
-    def rows(self, w: np.ndarray) -> np.ndarray:
-        """The k_max coefficient rows Q_p w for a w of length p, shape (k_max, n),
-        from one pass over the basis (`form_rows` of all rows)."""
-        basis = self.staircase
-        out = np.empty((self.k_max, basis.n), dtype=np.result_type(basis.dtype, w.dtype))
-        self.form_rows(w, out, 0, self.k_max)
-        return out
-
-    def form_rows(self, w: np.ndarray, out: np.ndarray, formed: int, k: int) -> int:
-        """Form coefficient rows formed..k-1 of Q_p w in out, a C-order
-        (k_max, n) array holding the first `formed` rows from earlier calls;
-        returns how many leading rows are now formed (at least k).
-
-        Rows are formed whole basis slabs at a time, with the products of
-        the full pass, so rows formed in pieces are those of `rows` bit for
-        bit; rows past the last slab formed are not written.
-        """
-        basis, n = self.staircase, self.staircase.n
-        flat = out.reshape(-1)
-        # the formed rows end at the first slab boundary past them (or at the end)
-        start = -(-formed * n // SLAB) * SLAB
-        stop = min(-(-k * n // SLAB) * SLAB, flat.size)
-        if start >= stop:
-            return formed
-        # written before the products read it: np.zeros' pages would fault on
-        # the read (zero page) and again on the first write (copy)
-        flat[start:stop].fill(0)
-        basis.accumulate(flat, w, start, stop)
-        return stop // n
-
-    def row_bounds(self, w: np.ndarray) -> np.ndarray:
-        """M_l >= `_row_magnitudes` of row l of Q_p w for each of the k_max rows,
-        from the block bounds the basis keeps: one (k_max, p) product, no read
-        of the basis. M_l = sum_j |w_j| nu_lj, times sqrt(2) for complex rows
-        (whose magnitudes carry that factor); +inf past the float range."""
-        M = self.staircase.row_bounds(w)
-        if np.iscomplexobj(w) or self.staircase.dtype.kind == "c":
-            M *= math.sqrt(2.0)
-        return M
+    def coefficient_rows(self, w: np.ndarray) -> "CoefficientRows":
+        """The k_max coefficient rows Q_p w of a w of length p, none formed yet."""
+        return CoefficientRows(self.staircase, w)
 
     def truncate(self, p: int) -> "KrylovDecomposition":
         """Decomposition after only the first p steps (shares storage)."""
@@ -295,6 +260,49 @@ class KrylovDecomposition:
         if not 1 <= p < self.p:
             raise ValueError(f"cannot truncate a {self.p}-step decomposition to p={p}")
         return replace(self, H=self.H[:p + 1, :p], p=p, breakdown=False)
+
+
+class CoefficientRows:
+    """The coefficient rows Q_m w of one w (m = len(w)), formed on demand.
+
+    `rows` is a C-order (k, n) array, k the blocks of column m-1, whose first
+    `formed` rows are formed. `magnitudes` bounds each row's largest
+    magnitude: `_row_magnitudes` of the formed rows, and of the others
+    M_l = sum_j |w_j| nu_lj from the basis's `row_bounds`, times sqrt(2) for
+    complex rows (as `_row_magnitudes` carries that factor); +inf past the
+    float range. Both turn read-only once every row is formed.
+    """
+
+    def __init__(self, basis: StaircaseBasis, w: np.ndarray):
+        self._basis, self._w = basis, w
+        self.magnitudes = basis.row_bounds(w)
+        self.rows = np.empty((len(self.magnitudes), basis.n),
+                             dtype=np.result_type(basis.dtype, w.dtype))
+        if self.rows.dtype.kind == "c":
+            self.magnitudes *= math.sqrt(2.0)
+        self.formed = 0
+
+    def form(self, k: int) -> "CoefficientRows":
+        """Form at least the first k rows (all for k > len(rows)); returns self.
+
+        Rows are formed whole basis slabs at a time, with the products of
+        the full pass, so rows formed in pieces are those of one pass bit
+        for bit; rows past the last slab formed are not written.
+        """
+        if min(k, len(self.rows)) > self.formed:
+            n, flat = self._basis.n, self.rows.reshape(-1)
+            # both ends on slab boundaries, as `_blocks` needs: the formed
+            # rows end at the first boundary past them (or at the end)
+            start, stop = (min(-(-r * n // SLAB) * SLAB, flat.size) for r in (self.formed, k))
+            # written before the products read it: np.zeros' pages would fault
+            # on the read (zero page) and again on the first write (copy)
+            flat[start:stop].fill(0)
+            self._basis.accumulate(flat, self._w, start, stop)
+            done, self.formed = self.formed, stop // n
+            self.magnitudes[done:self.formed] = _row_magnitudes(self.rows[done:self.formed])
+            if self.formed == len(self.rows):
+                self.rows.flags.writeable = self.magnitudes.flags.writeable = False
+        return self
 
 
 class InfiniteArnoldi:

@@ -102,9 +102,9 @@ def _write_lines(path, lines) -> None:
 def cmd_solve(args) -> int:
     P, u0 = _load_problem(args)
     ts = _parse_reals(args.t, "--t")
-    epss = _parse_list(args.eps) if args.eps else [0.0]
+    epss = _parse_list(args.eps) if args.eps is not None else [0.0]
     targets = [(t, e) for t in ts for e in epss]
-    gammas = _parse_reals(args.gamma, "--gamma") if args.gamma else [None]
+    gammas = _parse_reals(args.gamma, "--gamma") if args.gamma is not None else [None]
     if len(gammas) != 1:
         raise ValueError("solve takes exactly one --gamma value")
     gamma = gammas[0]
@@ -158,8 +158,8 @@ def cmd_convergence(args) -> int:
     if len(ts) != 1:
         raise ValueError("convergence studies take exactly one --t value")
     t = ts[0]
-    epss = _parse_list(args.eps) if args.eps else [0.0]
-    gammas = _parse_reals(args.gamma, "--gamma") if args.gamma else [None]
+    epss = _parse_list(args.eps) if args.eps is not None else [0.0]
+    gammas = _parse_reals(args.gamma, "--gamma") if args.gamma is not None else [None]
     refs = {e: expm_multiply(t * P(e), u0) for e in epss}
 
     header = "p,eps,true_error,aposteriori_estimate,apriori_total"

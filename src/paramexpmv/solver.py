@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arnoldi import InfiniteArnoldi, KrylovDecomposition, _row_magnitudes, run_arnoldi
+from .arnoldi import CoefficientRows, InfiniteArnoldi, KrylovDecomposition, run_arnoldi
 from .linalg import _as_int, log_norm_bound
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
@@ -153,25 +153,21 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
 @dataclass
 class _AtTime:
     """What a solution knows at one t: w and the t-factor of the decomposition's
-    `at`, and, once rows are asked for, a (k_max, n) array of scaled
-    coefficient rows, the first `formed` of them formed, and an upper bound
-    on each row's largest magnitude: `_row_magnitudes` below `formed`, the
-    decomposition's `row_bounds` above. Both arrays turn read-only once all
-    rows are formed; before that only read-only views leave the solution."""
+    `at`, and, once rows are asked for, its scaled coefficient rows. Only
+    read-only views of the rows leave the solution."""
 
     w: np.ndarray
     t_factor: float
-    rows: np.ndarray | None = None
-    magnitudes: np.ndarray | None = None
-    formed: int = 0
+    rows: CoefficientRows | None = None
 
 
 class ParameterizedSolution:
     """Evaluates approximate solutions and expansion coefficients at any (t, eps).
 
-    Immutable after construction; evaluation touches only the small projected
-    Hessenberg matrix and the stored basis. Everything that depends on t alone
-    comes from one (p+1)-sized exponential per t, kept for later calls.
+    Evaluation touches only the small projected Hessenberg matrix and the
+    stored basis. What depends on t alone comes from one (p+1)-sized
+    exponential per t; a per-t record keeps it and the rows formed so far,
+    which changes what later calls cost, never what they return.
     """
 
     def __init__(self, decomposition: KrylovDecomposition, poly: MatrixPolynomial,
@@ -201,25 +197,15 @@ class ParameterizedSolution:
                 self._at_time[t] = rec
         return rec
 
-    def _form(self, rec: _AtTime, k: int) -> _AtTime:
-        """rec with at least its first k coefficient rows formed (with k = 0,
-        only the row bounds); each row is formed once, by `form_rows`."""
+    def _rows(self, t: float, k: int) -> CoefficientRows:
+        """The coefficient rows at t, with at least the first k formed; each
+        row is formed once per record."""
+        rec = self._at(t)
         if rec.rows is None:
             if not np.all(np.isfinite(rec.w)):
                 raise FloatingPointError("exp(tH_p) overflows")
-            rec.rows = np.empty((self.k_max, self.n), dtype=rec.w.dtype)
-            rec.magnitudes = self.decomposition.row_bounds(rec.w)
-        if rec.formed < k:
-            done = rec.formed
-            rec.formed = self.decomposition.form_rows(rec.w, rec.rows, done, k)
-            rec.magnitudes[done:rec.formed] = _row_magnitudes(rec.rows[done:rec.formed])
-            if rec.formed == self.k_max:
-                rec.rows.flags.writeable = rec.magnitudes.flags.writeable = False
-        return rec
-
-    def _synthesized(self, t: float, k: int | None = None) -> _AtTime:
-        """The per-t record with its first k (default all) coefficient rows formed."""
-        return self._form(self._at(t), self.k_max if k is None else k)
+            rec.rows = self.decomposition.coefficient_rows(rec.w)
+        return rec.rows.form(k)
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
         """First k expansion coefficients at time t, shape (k, n); k defaults to
@@ -228,7 +214,7 @@ class ParameterizedSolution:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         with _raise_on_overflow(t):
-            C = self._synthesized(t, k).rows[:k]
+            C = self._rows(t, k).rows[:k]
             C.flags.writeable = False
             if self.gamma != 1.0:
                 # m finite factors: gamma**l alone overflows where scaled rows underflow
@@ -246,10 +232,10 @@ class ParameterizedSolution:
         the fewest leading rows whose left-out terms sum to at most
         u sum_l |x|^l m_l (u the float64 unit roundoff), a bound on the
         rounding error of the full sum; so in exact arithmetic the answer is
-        within that of the sum of all k_max terms (`_rows_needed`). Rows are
-        formed on demand, until their m_l and the bounds M_l >= m_l of the
-        rows not formed settle L (`_cut`), so L and the answer do not depend
-        on which rows earlier calls formed. Costs one matrix-vector product
+        within that of the sum of all k_max terms. Rows are formed on
+        demand, until their m_l and the bounds M_l >= m_l of the rows not
+        formed settle L (`_cut`), so L and the answer do not depend on which
+        rows earlier calls formed. Costs one matrix-vector product
         over the (L, n) leading rows, plus a pass over the basis for the rows
         not formed yet and, at a new t, one small exponential. Overflow
         raises FloatingPointError.
@@ -257,11 +243,11 @@ class ParameterizedSolution:
         eps = _check_eps(eps)
         with _raise_on_overflow(t, eps):
             x = self.gamma * eps
-            rec = self._form(self._at(t), 0)
-            while (L := _cut(rec.magnitudes, rec.formed, x)) is None:
-                guess = _rows_needed(rec.magnitudes, x)
-                self._form(rec, min(self.k_max, max(guess, rec.formed) + 1))
-            return _power_sum(rec.rows[:L], x)
+            R = self._rows(t, 0)
+            while (L := _cut(R.magnitudes, R.formed, x)) is None:
+                guess = _cut(R.magnitudes, self.k_max, x)
+                R.form(max(guess, R.formed) + 1)
+            return _power_sum(R.rows[:L], x)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -361,42 +347,22 @@ def _raise_on_overflow(t, eps=None):
         raise FloatingPointError(f"{exc} at {at}") from None
 
 
-def _rows_needed(magnitudes: np.ndarray, x) -> int:
-    """Fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
-    for m = magnitudes and u = 2^-53, the float64 unit roundoff.
-
-    The terms are compared in log space, so every finite x is covered. x = 0
-    and all-zero magnitudes give 1; a non-finite magnitude (or x) gives all
-    rows, so an overflow is met as it would be in the full sum.
-    """
-    k, ax = len(magnitudes), abs(x)
-    if ax == 0.0:
-        return 1
-    if not math.isfinite(ax):
-        return k
-    with np.errstate(divide="ignore"):
-        logs = np.log(magnitudes) + math.log(ax) * np.arange(k)
-    top = logs.max()
-    if not math.isfinite(top):
-        return 1 if top == -math.inf else k
-    # tails[L] = sum_{l>=L} of the terms over the largest; it does not increase
-    tails = np.cumsum(np.exp(logs - top)[::-1])[::-1]
-    return 1 + int(np.count_nonzero(tails[1:] > 2.0 ** -53 * tails[0]))
-
-
 def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
-    """The `_rows_needed` cut of all rows, from the magnitudes of the first
-    `formed` rows and upper bounds on the others (both in `magnitudes`), or
-    None while these do not settle it.
+    """Fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
+    for u = 2^-53, the float64 unit roundoff, from the magnitudes m of the
+    first `formed` rows and upper bounds on the others (both in
+    `magnitudes`); None while these do not settle L.
 
-    The terms |x|^l m_l left out at L sum to between s_L, the formed ones,
-    and s_L + b, b the bounded rest. L is settled when it surely meets the
-    floor of `_rows_needed` and L - 1 surely does not, by a relative margin
-    of 2^-20 that covers the rounding of both computations.
+    The terms are compared in log space, so every finite x is covered. The
+    left-out terms at L sum to between s_L, the formed ones, and s_L + b, b
+    the bounded rest. L is settled when it surely meets the floor and L - 1
+    surely does not, by a relative margin of 2^-20 that covers the rounding
+    of the bounds; with every row formed the margin is 0 and L is always
+    settled. x = 0 and all-zero magnitudes give 1 (once a row is formed); a
+    non-finite magnitude (or x) gives all rows once all are formed, so an
+    overflow is met as it would be in the full sum.
     """
     k, ax = len(magnitudes), abs(x)
-    if formed == k:
-        return _rows_needed(magnitudes, x)
     if formed == 0:
         return None
     if ax == 0.0:
@@ -405,9 +371,9 @@ def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
         logs = np.log(magnitudes) + math.log(ax) * np.arange(k)
     top = logs.max()
     if not math.isfinite(top):
-        return 1 if top == -math.inf else None
+        return 1 if top == -math.inf else k if formed == k else None
     terms = np.exp(logs - top)
-    margin = 2.0 ** -20
+    margin = 0.0 if formed == k else 2.0 ** -20
     # s[L] = sum of the formed terms from L on, s[formed] = 0
     s = np.append(np.cumsum(terms[formed - 1::-1])[::-1], 0.0)
     b = float(terms[formed:].sum()) * (1 + margin)

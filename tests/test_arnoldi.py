@@ -135,9 +135,12 @@ def test_decomposition_interface_shapes(N, complex_data):
         assert d.k_max == 1 + N * (d.p - 1)
         w, t_factor = d.at(0.5)
         assert w.shape == (d.p,) and not w.flags.writeable
-        rows = d.rows(w)
-        assert rows.shape == (d.k_max, n)
+        R = d.coefficient_rows(w)
+        assert R.magnitudes.shape == (d.k_max,) and R.formed == 0
+        rows = R.form(d.k_max).rows
+        assert rows.shape == (d.k_max, n) and R.formed == d.k_max
         np.testing.assert_allclose(rows.ravel(), d.Q[:rows.size, :d.p] @ w, rtol=0, atol=1e-12)
+        assert not rows.flags.writeable and not R.magnitudes.flags.writeable
         blocks = d.residual_blocks
         if d.breakdown:
             assert blocks is None and t_factor == 0.0
@@ -226,7 +229,7 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     np.testing.assert_allclose(d.H, ref.H, rtol=0, atol=1e-12)
     np.testing.assert_allclose(Qfull, ref.Q, rtol=0, atol=1e-12)
     w = rng.standard_normal(d.p)
-    c = d.rows(w).ravel()
+    c = d.coefficient_rows(w).form(d.k_max).rows.ravel()
     np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
 
 
@@ -366,7 +369,9 @@ def test_row_bounds_dominate_the_rows(n, N, complex_coeffs, complex_w, p, keep, 
     for w in (d.at(0.3)[0], rng.standard_normal(d.p) * 10.0 ** rng.uniform(-5, 5, d.p)):
         if complex_w:
             w = w + 1j * rng.standard_normal(d.p)
-        rows, M = d.rows(w), d.row_bounds(w)
+        R = d.coefficient_rows(w)
+        M = R.magnitudes.copy()
+        rows = R.form(d.k_max).rows
         assert M.shape == (d.k_max,) and np.all(np.isfinite(M))
         slack = 1 + 1e-12
         assert np.all(np.abs(rows).max(axis=1) <= M * slack)
@@ -376,15 +381,15 @@ def test_row_bounds_dominate_the_rows(n, N, complex_coeffs, complex_w, p, keep, 
 @pytest.mark.parametrize("slab", [7, 11, 8192])
 @pytest.mark.parametrize("N", [0, 1, 2])
 def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
-    # any sequence of form_rows calls writes each row once, with the bits of
-    # rows(w), and leaves the rows past the last slab it formed unwritten;
+    # any sequence of form calls writes each row once, with the bits of one
+    # pass, and leaves the rows past the last slab it formed unwritten;
     # 11-row slabs are one row of n = 11, 7-row slabs cut the rows
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", slab)
     rng = np.random.default_rng(7 + N)
     n = 11
     d = run_arnoldi(random_poly(rng, n, N), rng.standard_normal(n), 2 * CHUNK + 3)
     w = d.at(0.4)[0]
-    ref = d.rows(w)
+    ref = d.coefficient_rows(w).form(d.k_max).rows
     written = []
     blocks = StaircaseBasis._blocks
 
@@ -395,12 +400,14 @@ def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
 
     monkeypatch.setattr(StaircaseBasis, "_blocks", logged)
     for ks in ([d.k_max], [1, 2, 3, d.k_max], [5, 4, 9, d.k_max - 1, d.k_max]):
-        out = np.full_like(ref, np.nan)
+        R = d.coefficient_rows(w)
+        out = R.rows
+        out[:] = np.nan
         formed = 0
         written.clear()
         for k in ks:
             k = min(k, d.k_max)
-            new = d.form_rows(w, out, formed, k)
+            new = R.form(k).formed
             assert new >= max(formed, k) and (slab % n or new == max(formed, k))
             formed = new
             np.testing.assert_array_equal(out[:formed], ref[:formed])

@@ -276,6 +276,20 @@ def test_complex_or_repeated_reals_are_usage_errors(command, t, gamma, tmp_path)
     assert main(argv + ["--t", t, "--gamma", gamma]) == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize("option", ["--eps", "--gamma"])
+@pytest.mark.parametrize("value", ["", " , "])
+def test_empty_value_list_is_usage_error(command, option, value, tmp_path, capsys):
+    # an empty --eps or --gamma is an error, not the default (eps = 0, heuristic gamma)
+    argv = [command, "--problem", "advdiff1", "--n", "10", "--a", "1e-3", "--t", "0.5",
+            "--p-max", "5", "--out", str(tmp_path / "x.csv")]
+    if command == "solve":
+        argv += ["--p", "5"]
+    assert main(argv + [option, value]) == 2
+    assert "error: empty value list" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_generate_and_reload(tmp_path):
     out = tmp_path / "prob"
     rc = main(["generate", "--problem", "advdiff2", "--n", "12", "--a", "1e-3",

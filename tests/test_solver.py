@@ -275,14 +275,15 @@ HORNER_X = [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j]
 def test_evaluate_matches_horner(complex_rows, x):
     S = horner_problem("complex" if complex_rows else "advdiff1")
     t = 0.6
-    rows = S._synthesized(t).rows
+    rows = S._rows(t, S.k_max).rows
     assert np.iscomplexobj(rows) == complex_rows
     eps = x / S.gamma
     for k in (1, S.k_max // 2, S.k_max):
         ref = horner(rows[:k], S.gamma * eps)
         u = solver._power_sum(rows[:k], S.gamma * eps)
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
-    L = solver._rows_needed(S._synthesized(t).magnitudes, S.gamma * eps)
+    m = S._rows(t, S.k_max).magnitudes
+    L = solver._cut(m, len(m), S.gamma * eps)
     got = S.evaluate(t, eps)
     np.testing.assert_array_equal(got, solver._power_sum(rows[:L], S.gamma * eps))
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -296,8 +297,8 @@ def assert_cut_within_floor(S, t, x):
     2u sum_l |x|^l m_l plus the rounding of the two sums: each is an inner
     product of k terms with powers from a running product, so within
     2k u sum_l |x|^l m_l (Higham 2002, section 3.1)."""
-    rec = S._synthesized(t)
-    rows, m = rec.rows, rec.magnitudes
+    R = S._rows(t, S.k_max)
+    rows, m = R.rows, R.magnitudes
     full = solver._power_sum(rows, x)
     with np.errstate(over="ignore"):
         floor = float(np.sum(abs(x) ** np.arange(S.k_max) * m))
@@ -321,8 +322,8 @@ def test_evaluate_drops_only_a_tail_below_the_rounding_floor(name):
     for t in (0.1, 0.6):
         for x in (1e-3, -0.3, 0.2 + 0.7j, 1.0, 7.0, -40.0 + 25.0j):
             assert_cut_within_floor(S, t, x)
-            m = S._synthesized(t).magnitudes
-            L = solver._rows_needed(m, x)
+            m = S._rows(t, S.k_max).magnitudes
+            L = solver._cut(m, len(m), x)
             tail, total = magnitude_tail(m, x, L)
             # the cut keeps the fewest rows whose left-out terms are below u times all
             assert tail <= U * total * (1 + 1e-12)
@@ -344,19 +345,19 @@ def test_evaluate_cut_within_floor_on_random_problems(n, N, complex_coeffs, p, t
     if complex_coeffs:
         mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
     S = build(MatrixPolynomial([0.5 * A for A in mats]), rng.standard_normal(n), p)
-    rec = S._synthesized(t)
+    R = S._rows(t, S.k_max)
     # m bounds each row's largest entry, and equals it for real rows
-    largest = np.max(np.abs(rec.rows), axis=1)
-    assert np.all(largest <= rec.magnitudes)
+    largest = np.max(np.abs(R.rows), axis=1)
+    assert np.all(largest <= R.magnitudes)
     if not complex_coeffs:
-        np.testing.assert_array_equal(largest, rec.magnitudes)
+        np.testing.assert_array_equal(largest, R.magnitudes)
     assert_cut_within_floor(S, t, x)
 
 
 def test_evaluate_at_zero_eps_is_the_first_row():
     S = horner_problem("advdiff2")
     for t in (0.1, 0.6):
-        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._synthesized(t).rows[0])
+        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._rows(t, S.k_max).rows[0])
 
 
 def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
@@ -366,22 +367,49 @@ def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
     monkeypatch.setattr(solver, "_power_sum", lambda C, x: seen.append(len(C)) or power_sum(C, x))
     u = S.evaluate(0.5, 1e-3)
     assert len(seen) == 1 and 1 <= seen[0] < S.k_max
-    full = power_sum(S._synthesized(0.5).rows, S.gamma * 1e-3)
+    full = power_sum(S._rows(0.5, S.k_max).rows, S.gamma * 1e-3)
     assert np.linalg.norm(u - full) <= 1e-15 * np.linalg.norm(full)
+
+
+def _rows_needed(magnitudes, x):
+    """The former `_rows_needed`, the cut of all rows made apart from `_cut`:
+    fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
+    for m = magnitudes and u = 2^-53; x = 0 and all-zero magnitudes give 1,
+    a non-finite magnitude (or x) all rows."""
+    k, ax = len(magnitudes), abs(x)
+    if ax == 0.0:
+        return 1
+    if not math.isfinite(ax):
+        return k
+    with np.errstate(divide="ignore"):
+        logs = np.log(magnitudes) + math.log(ax) * np.arange(k)
+    top = logs.max()
+    if not math.isfinite(top):
+        return 1 if top == -math.inf else k
+    # tails[L] = sum_{l>=L} of the terms over the largest; it does not increase
+    tails = np.cumsum(np.exp(logs - top)[::-1])[::-1]
+    return 1 + int(np.count_nonzero(tails[1:] > 2.0 ** -53 * tails[0]))
+
+
+def full_cut(m, x):
+    """`_cut` with every row formed, checked against the former `_rows_needed`."""
+    L = solver._cut(m, len(m), x)
+    assert L == _rows_needed(m, x)
+    return L
 
 
 def test_rows_needed_edge_cases():
     m = np.array([1.0, 0.5, 0.25, 0.0])
-    assert solver._rows_needed(m, 0.0) == solver._rows_needed(m, 0j) == 1
-    assert solver._rows_needed(np.zeros(4), 3.0) == 1
+    assert full_cut(m, 0.0) == full_cut(m, 0j) == 1
+    assert full_cut(np.zeros(4), 3.0) == 1
     for bad in (math.inf, math.nan):
-        assert solver._rows_needed(np.array([1.0, bad, 1.0]), 1e-3) == 3
-    assert solver._rows_needed(m, math.inf) == 4
+        assert full_cut(np.array([1.0, bad, 1.0]), 1e-3) == 3
+    assert full_cut(m, math.inf) == 4
     # a zero magnitude, a tiny and a huge x: defined, with no warning
-    assert solver._rows_needed(m, 1e-300) == 1
-    assert solver._rows_needed(m, 1e300) == 3
-    assert solver._rows_needed(np.array([1.0, 1e-17, 1e-20]), 1.0) == 1
-    assert solver._rows_needed(np.array([1.0, 1e-15, 1e-20]), 1.0) == 2
+    assert full_cut(m, 1e-300) == 1
+    assert full_cut(m, 1e300) == 3
+    assert full_cut(np.array([1.0, 1e-17, 1e-20]), 1.0) == 1
+    assert full_cut(np.array([1.0, 1e-15, 1e-20]), 1.0) == 2
 
 
 @pytest.mark.parametrize("complex_rows", [False, True])
@@ -391,7 +419,7 @@ def test_row_magnitudes_need_no_row_sized_temporary(complex_rows):
         rows = rows * (1 - 2j)
     tracemalloc.start()
     try:
-        m = solver._row_magnitudes(rows)
+        m = paramexpmv.arnoldi._row_magnitudes(rows)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -491,14 +519,14 @@ def test_evaluate_finite_when_gamma_eps_power_overflows(t):
     assert S.gamma == 1e4 and S.k_max == 200
     u = S.evaluate(t, 0.01)
     assert np.all(np.isfinite(u))
-    ref = horner(S._synthesized(t).rows, 100.0)
+    ref = horner(S._rows(t, S.k_max).rows, 100.0)
     assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_complex_eps_evaluate_does_not_copy_real_rows():
     P, u0 = gen_advdiff1(500, 1e-3)
     S = build(P, u0, 30)
-    rows = S._synthesized(0.5).rows
+    rows = S._rows(0.5, S.k_max).rows
     assert rows.dtype == np.float64
     tracemalloc.start()
     try:
@@ -753,7 +781,7 @@ def test_overflowing_gamma_scaling_raises():
     P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
     S = build(P, np.ones(1), 60)
     assert S.gamma == 1e4
-    assert np.all(np.isfinite(S._synthesized(1e4).rows))
+    assert np.all(np.isfinite(S._rows(1e4, S.k_max).rows))
     assert np.all(np.isfinite(S.coefficients(1e4, 46)))
     with pytest.raises(FloatingPointError, match="t=10000"):
         S.coefficients(1e4)
@@ -1058,10 +1086,9 @@ def test_fresh_evaluate_forms_only_the_rows_it_needs():
     # first of the 10 basis slabs, and the answer is that of all rows formed
     S = build(*gen_advdiff1(400, 3e-4), 200)
     u = S.evaluate(0.5, 1e-3)
-    rec = S._at_time[0.5]
-    assert 1 <= rec.formed < S.k_max // 4
+    assert 1 <= S._at_time[0.5].rows.formed < S.k_max // 4
     full = S.with_p(S.p)
-    full._synthesized(0.5)
+    full._rows(0.5, full.k_max)
     np.testing.assert_array_equal(full.evaluate(0.5, 1e-3), u)
 
 
@@ -1070,7 +1097,7 @@ def test_partly_formed_rows_are_handed_out_read_only(monkeypatch):
     S = build(P, u0, 10, gamma=1.0)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
     C = S.coefficients(0.5, 2)
-    assert S._at_time[0.5].formed == 2
+    assert S._at_time[0.5].rows.formed == 2
     with pytest.raises(ValueError):
         C[:] = 0.0
     before = S.evaluate(0.5, 1e-2)
@@ -1085,7 +1112,7 @@ def test_coefficients_form_exactly_k_rows(k, monkeypatch):
     S = build(*gen_advdiff2(30, 3e-4, 2e2), 12)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
     C = S.coefficients(0.5, k)
-    assert S._at_time[0.5].formed == k and C.shape == (k, S.n)
+    assert S._at_time[0.5].rows.formed == k and C.shape == (k, S.n)
     np.testing.assert_array_equal(C, S.with_p(S.p).coefficients(0.5)[:k])
 
 
@@ -1109,7 +1136,7 @@ def test_answers_do_not_depend_on_call_order(slab, monkeypatch):
     queries = query_list(S)
     rows_first = S.with_p(S.p)
     for t in (0.2, 0.6):
-        rows_first._synthesized(t)
+        rows_first._rows(t, rows_first.k_max)
     ref = answers(rows_first, queries)
     rng = np.random.default_rng(slab)
     for _ in range(3):
@@ -1123,11 +1150,12 @@ def test_each_row_is_formed_once_per_t(monkeypatch):
     S = build(*gen_advdiff2(300, 3e-4, 2e2), 30)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", 64)
     formed = []
-    form_rows = paramexpmv.arnoldi.KrylovDecomposition.form_rows
+    form = paramexpmv.arnoldi.CoefficientRows.form
 
-    def logged(self, w, out, done, k):
-        formed.append((done, k))
-        return form_rows(self, w, out, done, k)
+    def logged(self, k):
+        if self.formed < k:
+            formed.append((self.formed, k))
+        return form(self, k)
 
     read = []
     accumulate = paramexpmv.arnoldi.StaircaseBasis.accumulate
@@ -1136,7 +1164,7 @@ def test_each_row_is_formed_once_per_t(monkeypatch):
         read.extend((c, r) for c, r, _ in self._blocks(w.shape[-1], start, stop))
         accumulate(self, y, w, start, stop)
 
-    monkeypatch.setattr(paramexpmv.arnoldi.KrylovDecomposition, "form_rows", logged)
+    monkeypatch.setattr(paramexpmv.arnoldi.CoefficientRows, "form", logged)
     monkeypatch.setattr(paramexpmv.arnoldi.StaircaseBasis, "accumulate", counted)
     for q in query_list(S) + [("coefficients", 0.2, None), ("coefficients", 0.6, None)]:
         getattr(S, q[0])(*q[1:])
@@ -1164,7 +1192,7 @@ def test_cut_from_leading_rows_is_the_cut_of_all_rows(m, over, x):
     m = np.asarray(m, dtype=float)
     with np.errstate(over="ignore"):
         bounds = m * np.array(over[:len(m)])
-    want = solver._rows_needed(m, x)
+    want = _rows_needed(m, x)
     for F in range(len(m) + 1):
         mixed = np.concatenate([m[:F], bounds[F:]])
         got = solver._cut(mixed, F, x)
@@ -1177,7 +1205,7 @@ def test_cut_defers_while_the_bounds_leave_it_open():
     # so the cut is 1; a bound of 0.6u on row 2 alone, 6 times its magnitude,
     # could put the cut at 2, so two formed rows settle nothing
     m = np.array([1.0, 0.5 * U, 0.1 * U])
-    assert solver._rows_needed(m, 1.0) == 1
+    assert full_cut(m, 1.0) == 1
     assert solver._cut(np.array([1.0, 0.5 * U, 0.6 * U]), 2, 1.0) is None
     assert solver._cut(np.array([1.0, 0.5 * U, 0.2 * U]), 2, 1.0) == 1
     assert solver._cut(m, 3, 1.0) == 1
