@@ -1,9 +1,10 @@
 """Explicit (t, eps)-parameterization of solutions to linear ODEs with
 polynomially parameterized coefficient matrices.
 
-One structured Arnoldi run produces a compact object that evaluates
-approximate solutions for arbitrary parameter and time values, with
-rigorous a priori bounds and residual-based a posteriori error estimates.
+One structured Arnoldi run produces a solution that keeps the whole Krylov
+basis and evaluates approximate solutions for arbitrary parameter and time
+values, with rigorous a priori bounds and residual-based a posteriori error
+estimates.
 
 ``__all__`` is the user-facing API. The other names imported here are
 lower-level pieces kept at package level for scripts that time them.

@@ -66,8 +66,8 @@ class StaircaseBasis:
     and which can read a window of rows alone. Each chunk also keeps, for
     each of its columns, an upper bound on the largest magnitude in each
     block of n rows (`_row_magnitudes`), so `row_bounds` can bound the
-    blocks of Q_m w without reading the chunks, and `CoefficientRows` forms
-    only the blocks a caller asks for.
+    blocks of Q_m w without reading the chunks, and `AtTime` forms only the
+    blocks a caller asks for.
     """
 
     def __init__(self, n: int, N: int, dtype):
@@ -191,9 +191,8 @@ class KrylovDecomposition:
     matrix with nonnegative subdiagonal. On lucky breakdown there are only
     p columns and the last row of `H` is zero: the decomposition is exact.
     `Q` is a dense zero-padded copy of the columns, built on first access,
-    for tests and inspection. A solution reads only `at`,
-    `coefficient_rows`, `residual_blocks`, `k_max` and `truncate`, so the
-    layout stays in this module.
+    for tests and inspection. A solution reads only `at`, `residual_blocks`,
+    `k_max` and `truncate`, so the layout stays in this module.
     """
 
     staircase: StaircaseBasis
@@ -233,24 +232,19 @@ class KrylovDecomposition:
         """Number of coefficient rows, 1 + N(p-1): the blocks of column p."""
         return 1 + self.staircase.N * (self.p - 1)
 
-    def at(self, t: float) -> tuple[np.ndarray, float]:
-        """w = beta exp(tH_p)e_1, read-only, and the estimate's t-factor
+    def at(self, t: float) -> "AtTime":
+        """The `AtTime` of w = beta exp(tH_p)e_1 and the estimate's t-factor
         |t beta h_{p+1,p} e_p^T phi_1(tH_p)e_1|, zero on breakdown, from one
-        exponential. Overflow leaves w not finite, the t-factor +inf or NaN."""
+        exponential; no rows formed. Overflow leaves w not finite, the
+        t-factor +inf or NaN."""
         with np.errstate(over="ignore", invalid="ignore"):
             try:
                 e1, phi1 = phi_columns(self.hessenberg, t)
             except ValueError:  # tH_p overflows, and expm refuses non-finite input
                 e1 = phi1 = np.full(self.p, math.inf)
-            w = e1 * self.beta
             h = float(self.H[self.p, self.p - 1].real)
             t_factor = 0.0 if self.breakdown else float(abs(t * self.beta * h * phi1[-1]))
-        w.flags.writeable = False
-        return w, t_factor
-
-    def coefficient_rows(self, w: np.ndarray) -> "CoefficientRows":
-        """The k_max coefficient rows Q_p w of a w of length p, none formed yet."""
-        return CoefficientRows(self.staircase, w)
+            return AtTime(self.staircase, e1 * self.beta, t_factor)
 
     def truncate(self, p: int) -> "KrylovDecomposition":
         """Decomposition after only the first p steps (shares storage)."""
@@ -262,27 +256,38 @@ class KrylovDecomposition:
         return replace(self, H=self.H[:p + 1, :p], p=p, breakdown=False)
 
 
-class CoefficientRows:
-    """The coefficient rows Q_m w of one w (m = len(w)), formed on demand.
+class AtTime:
+    """What depends on t alone, from one small exponential: w, read-only, the
+    estimate's t-factor, and the coefficient rows Q_m w (m = len(w)).
 
     `rows` is a C-order (k, n) array, k the blocks of column m-1, whose first
-    `formed` rows are formed. `magnitudes` bounds each row's largest
-    magnitude: `_row_magnitudes` of the formed rows, and of the others
-    M_l = sum_j |w_j| nu_lj from the basis's `row_bounds`, times sqrt(2) for
-    complex rows (as `_row_magnitudes` carries that factor); +inf past the
-    float range. Both turn read-only once every row is formed.
+    `formed` rows are formed. `magnitudes` bounds each row's largest magnitude:
+    `_row_magnitudes` of the formed rows, and of the others the basis's
+    `row_bounds` times the sqrt(2) `_row_magnitudes` carries for complex rows;
+    +inf past the float range. Both are made on first use, which raises
+    FloatingPointError if w is not finite, and turn read-only once all are formed.
     """
 
-    def __init__(self, basis: StaircaseBasis, w: np.ndarray):
-        self._basis, self._w = basis, w
-        self.magnitudes = basis.row_bounds(w)
-        self.rows = np.empty((len(self.magnitudes), basis.n),
-                             dtype=np.result_type(basis.dtype, w.dtype))
-        if self.rows.dtype.kind == "c":
-            self.magnitudes *= math.sqrt(2.0)
+    def __init__(self, basis: StaircaseBasis, w: np.ndarray, t_factor: float):
+        w.flags.writeable = False
+        self._basis, self.w, self.t_factor = basis, w, t_factor
         self.formed = 0
 
-    def form(self, k: int) -> "CoefficientRows":
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        if not np.all(np.isfinite(self.w)):
+            raise FloatingPointError("exp(tH_p) overflows")
+        M = self._basis.row_bounds(self.w)
+        if np.iscomplexobj(self.w) or self._basis.dtype.kind == "c":
+            M *= math.sqrt(2.0)
+        return M
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return np.empty((len(self.magnitudes), self._basis.n),
+                        dtype=np.result_type(self._basis.dtype, self.w.dtype))
+
+    def form(self, k: int) -> "AtTime":
         """Form at least the first k rows (all for k > len(rows)); returns self.
 
         Rows are formed whole basis slabs at a time, with the products of
@@ -297,7 +302,7 @@ class CoefficientRows:
             # written before the products read it: np.zeros' pages would fault
             # on the read (zero page) and again on the first write (copy)
             flat[start:stop].fill(0)
-            self._basis.accumulate(flat, self._w, start, stop)
+            self._basis.accumulate(flat, self.w, start, stop)
             done, self.formed = self.formed, stop // n
             self.magnitudes[done:self.formed] = _row_magnitudes(self.rows[done:self.formed])
             if self.formed == len(self.rows):

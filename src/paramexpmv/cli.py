@@ -4,8 +4,8 @@ Emits deterministic CSV (17 significant digits) plus gnuplot-ready scripts
 for convergence studies. `--gamma` sets the scaling parameter (default the
 heuristic; `--gamma 1` runs unscaled). Convergence studies measure the true
 error against `scipy.sparse.linalg.expm_multiply`. Exit codes: 0 success,
-2 usage/input error (also non-finite problem data or option values),
-3 tolerance unreached.
+2 usage/input error (also non-finite problem data or option values, and a
+non-positive `--t` or `--gamma`), 3 tolerance unreached.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ def _parse_reals(text: str, option: str) -> list[float]:
     values = _parse_list(text)
     if any(isinstance(v, complex) for v in values):
         raise ValueError(f"{option} takes real values, got '{text}'")
+    if not all(v > 0 for v in values):
+        raise ValueError(f"{option} takes positive values, got '{text}'")
     return values
 
 
@@ -100,7 +102,6 @@ def _write_lines(path, lines) -> None:
 
 
 def cmd_solve(args) -> int:
-    P, u0 = _load_problem(args)
     ts = _parse_reals(args.t, "--t")
     epss = _parse_list(args.eps) if args.eps is not None else [0.0]
     targets = [(t, e) for t in ts for e in epss]
@@ -108,6 +109,7 @@ def cmd_solve(args) -> int:
     if len(gammas) != 1:
         raise ValueError("solve takes exactly one --gamma value")
     gamma = gammas[0]
+    P, u0 = _load_problem(args)
 
     if args.tol is not None:
         result = solver.solve_adaptive(P, u0, targets, tol=args.tol,
@@ -153,13 +155,13 @@ def _convergence_rows(P, u0, t, epss, p_max, gamma, refs):
 
 
 def cmd_convergence(args) -> int:
-    P, u0 = _load_problem(args)
     ts = _parse_reals(args.t, "--t")
     if len(ts) != 1:
         raise ValueError("convergence studies take exactly one --t value")
     t = ts[0]
     epss = _parse_list(args.eps) if args.eps is not None else [0.0]
     gammas = _parse_reals(args.gamma, "--gamma") if args.gamma is not None else [None]
+    P, u0 = _load_problem(args)
     refs = {e: expm_multiply(t * P(e), u0) for e in epss}
 
     header = "p,eps,true_error,aposteriori_estimate,apriori_total"

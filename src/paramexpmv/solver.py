@@ -1,9 +1,9 @@
 """High-level API: build a parameterized solution, evaluate it anywhere in
 (t, eps), and attach a priori bounds and a posteriori error estimates.
 
-One Arnoldi run yields a compact object; every subsequent evaluation costs
-only a small dense exponential per new t and one matrix-vector product over
-the leading cached coefficient rows (`evaluate`), never another large matvec.
+One Arnoldi run yields a solution that keeps the whole basis; each later
+evaluation costs a small dense exponential per new t and one product over the
+leading cached coefficient rows (`evaluate`), never another large matvec.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arnoldi import CoefficientRows, InfiniteArnoldi, KrylovDecomposition, run_arnoldi
+from .arnoldi import AtTime, InfiniteArnoldi, KrylovDecomposition, run_arnoldi
 from .linalg import _as_int, log_norm_bound
 from .toeplitz import MatrixPolynomial, heuristic_gamma
 
@@ -150,24 +150,14 @@ def apriori_bounds(B: BoundInputs, t: float, eps, p: int, N: int,
     return krylov, truncation, total
 
 
-@dataclass
-class _AtTime:
-    """What a solution knows at one t: w and the t-factor of the decomposition's
-    `at`, and, once rows are asked for, its scaled coefficient rows. Only
-    read-only views of the rows leave the solution."""
-
-    w: np.ndarray
-    t_factor: float
-    rows: CoefficientRows | None = None
-
-
 class ParameterizedSolution:
     """Evaluates approximate solutions and expansion coefficients at any (t, eps).
 
     Evaluation touches only the small projected Hessenberg matrix and the
-    stored basis. What depends on t alone comes from one (p+1)-sized
-    exponential per t; a per-t record keeps it and the rows formed so far,
-    which changes what later calls cost, never what they return.
+    stored basis. What depends on t alone is the `AtTime` of `at(t)`, one
+    small exponential; it keeps the rows formed so far, which changes what
+    later calls cost, never what they return. Only read-only views of the
+    rows leave the solution.
     """
 
     def __init__(self, decomposition: KrylovDecomposition, poly: MatrixPolynomial,
@@ -181,31 +171,21 @@ class ParameterizedSolution:
         self.degree = poly.degree
         self.p = decomposition.p
         self.k_max = decomposition.k_max
-        self._at_time: dict[float, _AtTime] = {}
+        self._at_time: dict[float, AtTime] = {}
 
     def with_p(self, p: int) -> "ParameterizedSolution":
         """View of the solution as if only p Arnoldi steps had been run."""
         return ParameterizedSolution(self.decomposition.truncate(p), self.poly,
                                      self.scaled_poly, self.gamma, self.bounds)
 
-    def _at(self, t: float) -> _AtTime:
+    def _at(self, t: float) -> AtTime:
         t = _check_t(t)
         rec = self._at_time.get(t)
         if rec is None:
-            rec = _AtTime(*self.decomposition.at(t))
+            rec = self.decomposition.at(t)
             if len(self._at_time) < MAX_CACHED_TIMES:
                 self._at_time[t] = rec
         return rec
-
-    def _rows(self, t: float, k: int) -> CoefficientRows:
-        """The coefficient rows at t, with at least the first k formed; each
-        row is formed once per record."""
-        rec = self._at(t)
-        if rec.rows is None:
-            if not np.all(np.isfinite(rec.w)):
-                raise FloatingPointError("exp(tH_p) overflows")
-            rec.rows = self.decomposition.coefficient_rows(rec.w)
-        return rec.rows.form(k)
 
     def coefficients(self, t: float, k: int | None = None) -> np.ndarray:
         """First k expansion coefficients at time t, shape (k, n); k defaults to
@@ -214,7 +194,7 @@ class ParameterizedSolution:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         with _raise_on_overflow(t):
-            C = self._rows(t, k).rows[:k]
+            C = self._at(t).form(k).rows[:k]
             C.flags.writeable = False
             if self.gamma != 1.0:
                 # m finite factors: gamma**l alone overflows where scaled rows underflow
@@ -243,7 +223,7 @@ class ParameterizedSolution:
         eps = _check_eps(eps)
         with _raise_on_overflow(t, eps):
             x = self.gamma * eps
-            R = self._rows(t, 0)
+            R = self._at(t)
             while (L := _cut(R.magnitudes, R.formed, x)) is None:
                 guess = _cut(R.magnitudes, self.k_max, x)
                 R.form(max(guess, R.formed) + 1)
@@ -267,7 +247,7 @@ class ParameterizedSolution:
         The Arnoldi error of the parameter-free problem expands as
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
         (Saad, SINUM 1992). The estimate keeps the leading term: the t-factor
-        of the per-t record times the eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||,
+        of `at(t)` times the eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||,
         which contracts all 1+Np blocks of q_{p+1} with the kernel of `evaluate`.
         The blocks past k_max are the leading part of the series tail, so
         truncation is covered too. Each distinct eps is contracted once per

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import paramexpmv.arnoldi
-from paramexpmv.arnoldi import BREAKDOWN_TOL, CHUNK, InfiniteArnoldi, StaircaseBasis, run_arnoldi
+from paramexpmv.arnoldi import (BREAKDOWN_TOL, CHUNK, AtTime, InfiniteArnoldi, StaircaseBasis,
+                                run_arnoldi)
 from paramexpmv.problems import gen_advdiff1
 from paramexpmv.reference import textbook_arnoldi
 from paramexpmv.solver import build
@@ -108,7 +109,7 @@ def test_lucky_breakdown_scalar_nilpotent():
     assert it.breakdown
     d = it.decomposition()
     assert d.breakdown
-    assert d.H[d.p, d.p - 1] == 0.0 and d.at(1.0)[1] == 0.0
+    assert d.H[d.p, d.p - 1] == 0.0 and d.at(1.0).t_factor == 0.0
     assert d.residual_vector is None
 
 
@@ -133,9 +134,9 @@ def test_decomposition_interface_shapes(N, complex_data):
     assert not steady.breakdown and (breaking.breakdown, breaking.p) == (True, 3)
     for d in (steady, breaking):
         assert d.k_max == 1 + N * (d.p - 1)
-        w, t_factor = d.at(0.5)
+        R = d.at(0.5)
+        w, t_factor = R.w, R.t_factor
         assert w.shape == (d.p,) and not w.flags.writeable
-        R = d.coefficient_rows(w)
         assert R.magnitudes.shape == (d.k_max,) and R.formed == 0
         rows = R.form(d.k_max).rows
         assert rows.shape == (d.k_max, n) and R.formed == d.k_max
@@ -229,7 +230,7 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     np.testing.assert_allclose(d.H, ref.H, rtol=0, atol=1e-12)
     np.testing.assert_allclose(Qfull, ref.Q, rtol=0, atol=1e-12)
     w = rng.standard_normal(d.p)
-    c = d.coefficient_rows(w).form(d.k_max).rows.ravel()
+    c = AtTime(d.staircase, w, 0.0).form(d.k_max).rows.ravel()
     np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
 
 
@@ -366,10 +367,10 @@ def test_row_bounds_dominate_the_rows(n, N, complex_coeffs, complex_w, p, keep, 
     d = run_arnoldi(MatrixPolynomial([0.5 * A for A in mats]), rng.standard_normal(n), p)
     if d.p > 1:
         d = d.truncate(max(1, round(keep * d.p)))
-    for w in (d.at(0.3)[0], rng.standard_normal(d.p) * 10.0 ** rng.uniform(-5, 5, d.p)):
+    for w in (d.at(0.3).w, rng.standard_normal(d.p) * 10.0 ** rng.uniform(-5, 5, d.p)):
         if complex_w:
             w = w + 1j * rng.standard_normal(d.p)
-        R = d.coefficient_rows(w)
+        R = AtTime(d.staircase, w, 0.0)
         M = R.magnitudes.copy()
         rows = R.form(d.k_max).rows
         assert M.shape == (d.k_max,) and np.all(np.isfinite(M))
@@ -388,8 +389,8 @@ def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
     rng = np.random.default_rng(7 + N)
     n = 11
     d = run_arnoldi(random_poly(rng, n, N), rng.standard_normal(n), 2 * CHUNK + 3)
-    w = d.at(0.4)[0]
-    ref = d.coefficient_rows(w).form(d.k_max).rows
+    w = d.at(0.4).w
+    ref = AtTime(d.staircase, w, 0.0).form(d.k_max).rows
     written = []
     blocks = StaircaseBasis._blocks
 
@@ -400,7 +401,7 @@ def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
 
     monkeypatch.setattr(StaircaseBasis, "_blocks", logged)
     for ks in ([d.k_max], [1, 2, 3, d.k_max], [5, 4, 9, d.k_max - 1, d.k_max]):
-        R = d.coefficient_rows(w)
+        R = AtTime(d.staircase, w, 0.0)
         out = R.rows
         out[:] = np.nan
         formed = 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import paramexpmv
+import paramexpmv.cli
 import paramexpmv.reference
 import paramexpmv.solver
 from paramexpmv.cli import main
@@ -274,6 +275,24 @@ def test_complex_or_repeated_reals_are_usage_errors(command, t, gamma, tmp_path)
         argv += ["--p", "5"]
     assert main(argv + ["--t", "0.5", "--gamma", "1"]) == 0
     assert main(argv + ["--t", t, "--gamma", gamma]) == 2
+
+
+@pytest.mark.parametrize("command", ["solve", "convergence"])
+@pytest.mark.parametrize("values", [["--t", "0"], ["--t", "-0.5"], ["--t", "0.5", "--gamma", "0"]],
+                         ids=["t=0", "t=-0.5", "gamma=0"])
+def test_non_positive_t_or_gamma_fails_before_any_work(command, values, monkeypatch, capsys):
+    # both are rejected with the option's name before any build or reference
+    # solve: a negative t used to run expm_multiply to an overflow first
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(paramexpmv.solver, "build", no_work)
+    monkeypatch.setattr(paramexpmv.cli, "expm_multiply", no_work)
+    argv = [command, "--problem", "advdiff1", "--n", "200", "--a", "3e-4", "--p-max", "60"]
+    if command == "solve":
+        argv += ["--p", "80"]
+    assert main(argv + values) == 2
+    assert f"error: {values[-2]} takes positive values" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence"])

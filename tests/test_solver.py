@@ -275,14 +275,14 @@ HORNER_X = [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j]
 def test_evaluate_matches_horner(complex_rows, x):
     S = horner_problem("complex" if complex_rows else "advdiff1")
     t = 0.6
-    rows = S._rows(t, S.k_max).rows
+    rows = S._at(t).form(S.k_max).rows
     assert np.iscomplexobj(rows) == complex_rows
     eps = x / S.gamma
     for k in (1, S.k_max // 2, S.k_max):
         ref = horner(rows[:k], S.gamma * eps)
         u = solver._power_sum(rows[:k], S.gamma * eps)
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
-    m = S._rows(t, S.k_max).magnitudes
+    m = S._at(t).form(S.k_max).magnitudes
     L = solver._cut(m, len(m), S.gamma * eps)
     got = S.evaluate(t, eps)
     np.testing.assert_array_equal(got, solver._power_sum(rows[:L], S.gamma * eps))
@@ -297,7 +297,7 @@ def assert_cut_within_floor(S, t, x):
     2u sum_l |x|^l m_l plus the rounding of the two sums: each is an inner
     product of k terms with powers from a running product, so within
     2k u sum_l |x|^l m_l (Higham 2002, section 3.1)."""
-    R = S._rows(t, S.k_max)
+    R = S._at(t).form(S.k_max)
     rows, m = R.rows, R.magnitudes
     full = solver._power_sum(rows, x)
     with np.errstate(over="ignore"):
@@ -322,7 +322,7 @@ def test_evaluate_drops_only_a_tail_below_the_rounding_floor(name):
     for t in (0.1, 0.6):
         for x in (1e-3, -0.3, 0.2 + 0.7j, 1.0, 7.0, -40.0 + 25.0j):
             assert_cut_within_floor(S, t, x)
-            m = S._rows(t, S.k_max).magnitudes
+            m = S._at(t).form(S.k_max).magnitudes
             L = solver._cut(m, len(m), x)
             tail, total = magnitude_tail(m, x, L)
             # the cut keeps the fewest rows whose left-out terms are below u times all
@@ -345,7 +345,7 @@ def test_evaluate_cut_within_floor_on_random_problems(n, N, complex_coeffs, p, t
     if complex_coeffs:
         mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
     S = build(MatrixPolynomial([0.5 * A for A in mats]), rng.standard_normal(n), p)
-    R = S._rows(t, S.k_max)
+    R = S._at(t).form(S.k_max)
     # m bounds each row's largest entry, and equals it for real rows
     largest = np.max(np.abs(R.rows), axis=1)
     assert np.all(largest <= R.magnitudes)
@@ -357,7 +357,7 @@ def test_evaluate_cut_within_floor_on_random_problems(n, N, complex_coeffs, p, t
 def test_evaluate_at_zero_eps_is_the_first_row():
     S = horner_problem("advdiff2")
     for t in (0.1, 0.6):
-        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._rows(t, S.k_max).rows[0])
+        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._at(t).form(S.k_max).rows[0])
 
 
 def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
@@ -367,7 +367,7 @@ def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
     monkeypatch.setattr(solver, "_power_sum", lambda C, x: seen.append(len(C)) or power_sum(C, x))
     u = S.evaluate(0.5, 1e-3)
     assert len(seen) == 1 and 1 <= seen[0] < S.k_max
-    full = power_sum(S._rows(0.5, S.k_max).rows, S.gamma * 1e-3)
+    full = power_sum(S._at(0.5).form(S.k_max).rows, S.gamma * 1e-3)
     assert np.linalg.norm(u - full) <= 1e-15 * np.linalg.norm(full)
 
 
@@ -519,14 +519,14 @@ def test_evaluate_finite_when_gamma_eps_power_overflows(t):
     assert S.gamma == 1e4 and S.k_max == 200
     u = S.evaluate(t, 0.01)
     assert np.all(np.isfinite(u))
-    ref = horner(S._rows(t, S.k_max).rows, 100.0)
+    ref = horner(S._at(t).form(S.k_max).rows, 100.0)
     assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_complex_eps_evaluate_does_not_copy_real_rows():
     P, u0 = gen_advdiff1(500, 1e-3)
     S = build(P, u0, 30)
-    rows = S._rows(0.5, S.k_max).rows
+    rows = S._at(0.5).form(S.k_max).rows
     assert rows.dtype == np.float64
     tracemalloc.start()
     try:
@@ -781,7 +781,7 @@ def test_overflowing_gamma_scaling_raises():
     P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
     S = build(P, np.ones(1), 60)
     assert S.gamma == 1e4
-    assert np.all(np.isfinite(S._rows(1e4, S.k_max).rows))
+    assert np.all(np.isfinite(S._at(1e4).form(S.k_max).rows))
     assert np.all(np.isfinite(S.coefficients(1e4, 46)))
     with pytest.raises(FloatingPointError, match="t=10000"):
         S.coefficients(1e4)
@@ -974,8 +974,8 @@ def test_adaptive_check_work(monkeypatch):
     # one contraction of q_{p+1} per distinct eps; every check between probes
     # the worst target of the first: one of each. The last probe passes, and
     # its contraction is made again by the full batch of the last check.
-    # A priori bounds only for the returned reports
-    counts = {"expm": 0, "apriori_bounds": 0, "_power_sum": 0}
+    # A priori bounds only for the returned reports, and no coefficient rows
+    counts = {"expm": 0, "apriori_bounds": 0, "_power_sum": 0, "row_bounds": 0}
 
     def counting(module, name):
         f = getattr(module, name)
@@ -988,6 +988,7 @@ def test_adaptive_check_work(monkeypatch):
     counting(paramexpmv.matfun, "expm")
     counting(solver, "apriori_bounds")
     counting(solver, "_power_sum")
+    counting(paramexpmv.arnoldi.StaircaseBasis, "row_bounds")
     rng = np.random.default_rng(15)
     P = random_poly(rng, 5, 2, scale=0.4)
     ts, epss = (0.2, 0.5, 1.0), (0.0, 0.05, 0.1 + 0.1j, 0.2)
@@ -997,7 +998,7 @@ def test_adaptive_check_work(monkeypatch):
     checks = -(-res.p // solver.DEFAULT_CHECK_INTERVAL)
     assert checks >= 3
     assert counts == {"expm": 2 * len(ts) + checks - 2, "apriori_bounds": len(targets),
-                      "_power_sum": 2 * len(epss) + checks - 1}
+                      "_power_sum": 2 * len(epss) + checks - 1, "row_bounds": 0}
 
 
 @pytest.mark.parametrize("value", [7.5, 7.0, "7"], ids=["7.5", "7.0", "str"])
@@ -1086,9 +1087,9 @@ def test_fresh_evaluate_forms_only_the_rows_it_needs():
     # first of the 10 basis slabs, and the answer is that of all rows formed
     S = build(*gen_advdiff1(400, 3e-4), 200)
     u = S.evaluate(0.5, 1e-3)
-    assert 1 <= S._at_time[0.5].rows.formed < S.k_max // 4
+    assert 1 <= S._at_time[0.5].formed < S.k_max // 4
     full = S.with_p(S.p)
-    full._rows(0.5, full.k_max)
+    full._at(0.5).form(full.k_max)
     np.testing.assert_array_equal(full.evaluate(0.5, 1e-3), u)
 
 
@@ -1097,7 +1098,7 @@ def test_partly_formed_rows_are_handed_out_read_only(monkeypatch):
     S = build(P, u0, 10, gamma=1.0)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
     C = S.coefficients(0.5, 2)
-    assert S._at_time[0.5].rows.formed == 2
+    assert S._at_time[0.5].formed == 2
     with pytest.raises(ValueError):
         C[:] = 0.0
     before = S.evaluate(0.5, 1e-2)
@@ -1112,7 +1113,7 @@ def test_coefficients_form_exactly_k_rows(k, monkeypatch):
     S = build(*gen_advdiff2(30, 3e-4, 2e2), 12)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
     C = S.coefficients(0.5, k)
-    assert S._at_time[0.5].rows.formed == k and C.shape == (k, S.n)
+    assert S._at_time[0.5].formed == k and C.shape == (k, S.n)
     np.testing.assert_array_equal(C, S.with_p(S.p).coefficients(0.5)[:k])
 
 
@@ -1136,7 +1137,7 @@ def test_answers_do_not_depend_on_call_order(slab, monkeypatch):
     queries = query_list(S)
     rows_first = S.with_p(S.p)
     for t in (0.2, 0.6):
-        rows_first._rows(t, rows_first.k_max)
+        rows_first._at(t).form(rows_first.k_max)
     ref = answers(rows_first, queries)
     rng = np.random.default_rng(slab)
     for _ in range(3):
@@ -1150,7 +1151,7 @@ def test_each_row_is_formed_once_per_t(monkeypatch):
     S = build(*gen_advdiff2(300, 3e-4, 2e2), 30)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", 64)
     formed = []
-    form = paramexpmv.arnoldi.CoefficientRows.form
+    form = paramexpmv.arnoldi.AtTime.form
 
     def logged(self, k):
         if self.formed < k:
@@ -1164,7 +1165,7 @@ def test_each_row_is_formed_once_per_t(monkeypatch):
         read.extend((c, r) for c, r, _ in self._blocks(w.shape[-1], start, stop))
         accumulate(self, y, w, start, stop)
 
-    monkeypatch.setattr(paramexpmv.arnoldi.CoefficientRows, "form", logged)
+    monkeypatch.setattr(paramexpmv.arnoldi.AtTime, "form", logged)
     monkeypatch.setattr(paramexpmv.arnoldi.StaircaseBasis, "accumulate", counted)
     for q in query_list(S) + [("coefficients", 0.2, None), ("coefficients", 0.6, None)]:
         getattr(S, q[0])(*q[1:])
