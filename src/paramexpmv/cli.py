@@ -4,8 +4,9 @@ Emits deterministic CSV (17 significant digits) plus gnuplot-ready scripts
 for convergence studies. `--gamma` sets the scaling parameter (default the
 heuristic; `--gamma 1` runs unscaled). Convergence studies measure the true
 error against `scipy.sparse.linalg.expm_multiply`. Exit codes: 0 success,
-2 usage/input error (also non-finite problem data or option values, and a
-non-positive `--t` or `--gamma`), 3 tolerance unreached.
+2 usage/input error (also non-finite problem data or option values, a
+non-positive `--t`, `--gamma` or `--tol`, and a `--p` or `--p-max` below 1),
+3 tolerance unreached.
 """
 
 from __future__ import annotations
@@ -62,6 +63,13 @@ def _parse_reals(text: str, option: str) -> list[float]:
     return values
 
 
+def _check_counts(*options) -> None:
+    """Reject an iteration count below 1, naming its option."""
+    for option, value in options:
+        if value is not None and value < 1:
+            raise ValueError(f"{option} must be at least 1, got {value}")
+
+
 def _load_problem(args):
     if args.manifest:
         return problems.load_manifest(args.manifest)
@@ -109,6 +117,9 @@ def cmd_solve(args) -> int:
     if len(gammas) != 1:
         raise ValueError("solve takes exactly one --gamma value")
     gamma = gammas[0]
+    if args.tol is not None and not args.tol > 0:
+        raise ValueError(f"--tol must be positive, got {args.tol}")
+    _check_counts(("--p", args.p), ("--p-max", args.p_max))
     P, u0 = _load_problem(args)
 
     if args.tol is not None:
@@ -161,6 +172,7 @@ def cmd_convergence(args) -> int:
     t = ts[0]
     epss = _parse_list(args.eps) if args.eps is not None else [0.0]
     gammas = _parse_reals(args.gamma, "--gamma") if args.gamma is not None else [None]
+    _check_counts(("--p-max", args.p_max))
     P, u0 = _load_problem(args)
     refs = {e: expm_multiply(t * P(e), u0) for e in epss}
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -315,16 +314,23 @@ def _check_eps(eps) -> float | complex:
     return complex(eps) if np.iscomplexobj(eps) else float(eps)
 
 
-@contextmanager
-def _raise_on_overflow(t, eps=None):
+class _raise_on_overflow:
     """Make float overflow and invalid operations in the block raise
-    FloatingPointError naming t (and eps), not warn and return inf or NaN."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            yield
-    except FloatingPointError as exc:
-        at = f"t={t}" if eps is None else f"t={t}, eps={eps}"
-        raise FloatingPointError(f"{exc} at {at}") from None
+    FloatingPointError naming t (and eps), not warn and return inf or NaN.
+    A class, not a generator: it costs less per call."""
+
+    def __init__(self, t, eps=None):
+        self.t, self.eps = t, eps
+        self.state = np.errstate(over="raise", invalid="raise")
+
+    def __enter__(self):
+        self.state.__enter__()
+
+    def __exit__(self, kind, exc, tb):
+        self.state.__exit__(kind, exc, tb)
+        if isinstance(exc, FloatingPointError):
+            at = f"t={self.t}" if self.eps is None else f"t={self.t}, eps={self.eps}"
+            raise FloatingPointError(f"{exc} at {at}") from None
 
 
 def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
@@ -338,30 +344,42 @@ def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
     the bounded rest. L is settled when it surely meets the floor and L - 1
     surely does not, by a relative margin of 2^-20 that covers the rounding
     of the bounds; with every row formed the margin is 0 and L is always
-    settled. x = 0 and all-zero magnitudes give 1 (once a row is formed); a
-    non-finite magnitude (or x) gives all rows once all are formed, so an
-    overflow is met as it would be in the full sum.
+    settled. The s_L come from one cumulative sum over the formed terms in
+    reverse; as every term is >= 0, s_L + b does not increase with L, so one
+    binary search finds the first L that meets the floor. x = 0 and
+    all-zero magnitudes give 1 (once a row is formed); a non-finite
+    magnitude (or x) gives all rows once all are formed, so an overflow is
+    met as it would be in the full sum.
     """
     k, ax = len(magnitudes), abs(x)
     if formed == 0:
         return None
     if ax == 0.0:
         return 1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        logs = np.log(magnitudes) + math.log(ax) * np.arange(k)
-    top = logs.max()
+    if not math.isfinite(ax):
+        return k if formed == k else None
+    # l log|x| + log m_l, then the terms over the largest, in place
+    logs = np.arange(k, dtype=np.float64)
+    logs *= math.log(ax)
+    with np.errstate(divide="ignore"):
+        logs += np.log(magnitudes)
+    top = np.maximum.reduce(logs)
     if not math.isfinite(top):
         return 1 if top == -math.inf else k if formed == k else None
-    terms = np.exp(logs - top)
+    logs -= top
+    terms = np.exp(logs, out=logs)
     margin = 0.0 if formed == k else 2.0 ** -20
-    # s[L] = sum of the formed terms from L on, s[formed] = 0
-    s = np.append(np.cumsum(terms[formed - 1::-1])[::-1], 0.0)
-    b = float(terms[formed:].sum()) * (1 + margin)
-    meets = s[1:] + b <= 2.0 ** -53 * s[0] * (1 - margin)
-    if not meets.any():
+    # c[j] = s_{formed-1-j}; s_formed = 0
+    c = np.add.accumulate(terms[formed - 1::-1])
+    b = float(np.add.reduce(terms[formed:])) * (1 + margin) if margin else 0.0
+    floor = 2.0 ** -53 * c[-1] * (1 - margin)
+    # c + b does not decrease, so its first J entries are those <= floor:
+    # L = formed - J meets the floor and L - 1 does not
+    J = int((c + b if b else c).searchsorted(floor, side="right"))
+    if J == 0 and not b <= floor:
         return None
-    L = 1 + int(np.argmax(meets))
-    if L > 1 and not s[L - 1] > 2.0 ** -53 * (s[0] + b) * (1 + margin):
+    L = formed - J
+    if L > 1 and not c[J] > 2.0 ** -53 * (c[-1] + b) * (1 + margin):
         return None
     return L
 
@@ -370,30 +388,34 @@ def _power_sum(C: np.ndarray, x) -> np.ndarray:
     """sum_l x^l C[l] over the rows of C: one BLAS product per block of rows.
 
     Blocks hold b rows, with |x|^b finite (b = len(C) when |x| <= 1); Horner's
-    rule in x^b joins the block sums. For real C and complex x the powers
-    enter as a real (b, 2) matrix [Re, Im], so C is never cast to complex.
+    rule in x^b joins the block sums. When one block holds every row, as
+    whenever |x|^len(C) <= 1e300, its product is the answer. For real C and
+    complex x the powers enter as a real (b, 2) matrix [Re, Im], so C is
+    never cast to complex.
     """
     k = len(C)
     ax = abs(x)
     # |x|^b <= 1e300
     b = k if ax <= 1.0 else max(1, min(k, math.floor(300 / math.log10(ax))))
+    complex_x = isinstance(x, (complex, np.complexfloating))
     # x^0 .. x^b in double precision: b is chosen for the float64 range
-    powers = np.empty(b + 1, dtype=np.result_type(np.float64, x))
+    powers = np.empty(b + 1, dtype=np.complex128 if complex_x else np.float64)
     powers[0] = 1.0
     powers[1:] = x
-    np.cumprod(powers, out=powers)
-    split = np.iscomplexobj(powers) and not np.iscomplexobj(C)
-    if split:
-        # (b+1, 2) C-ordered [Re, Im] rows, a view of the complex powers
-        powers_ri = powers.view(np.float64).reshape(-1, 2)
+    np.multiply.accumulate(powers, out=powers)
+    # real C, complex x: (b+1, 2) C-ordered [Re, Im] rows, a view of the powers
+    V = powers.view(np.float64).reshape(-1, 2) if complex_x and C.dtype.kind != "c" else powers
+
+    def product(block):
+        s = block.T @ V[:len(block)]
+        # (n, 2) C-ordered rows [Re, Im] read in place as complex
+        return s.view(np.complex128)[:, 0] if s.ndim == 2 else s
+
+    if b == k:
+        return product(C)
     u = None
     for start in range((k - 1) // b * b, -1, -b):
-        block = C[start:start + b]
-        if split:
-            # (n, 2) C-ordered rows [Re, Im] read in place as complex
-            s = (block.T @ powers_ri[:len(block)]).view(np.complex128)[:, 0]
-        else:
-            s = block.T @ powers[:len(block)]
+        s = product(C[start:start + b])
         u = s if u is None else s + powers[b] * u
     return u
 

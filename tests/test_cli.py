@@ -83,7 +83,7 @@ def test_p_max_below_one_is_usage_error(capsys):
     assert main(["solve", "--problem", "advdiff1", "--n", "20", "--a", "3e-4",
                  "--t", "0.5", "--eps", "1e-3", "--tol", "1e-8", "--p-max", "0"]) == 2
     captured = capsys.readouterr()
-    assert "p_max must be at least 1" in captured.err
+    assert "--p-max must be at least 1" in captured.err
     assert captured.out == ""
 
 
@@ -293,6 +293,24 @@ def test_non_positive_t_or_gamma_fails_before_any_work(command, values, monkeypa
         argv += ["--p", "80"]
     assert main(argv + values) == 2
     assert f"error: {values[-2]} takes positive values" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, values", [
+    ("solve", ["--tol", "0"]), ("solve", ["--tol", "-1"]), ("solve", ["--tol", "nan"]),
+    ("solve", ["--p", "0"]), ("solve", ["--tol", "1e-8", "--p-max", "0"]),
+    ("convergence", ["--p-max", "0"]), ("convergence", ["--p-max", "-3"]),
+], ids=["solve-tol=0", "solve-tol=-1", "solve-tol=nan", "solve-p=0", "solve-p-max=0",
+        "convergence-p-max=0", "convergence-p-max=-3"])
+def test_bad_tol_or_step_count_fails_before_any_work(command, values, monkeypatch, capsys):
+    # rejected with the option's name before the problem is made: these used
+    # to fail in the library, after generating or loading the problem
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(paramexpmv.problems, "generate", no_work)
+    argv = [command, "--problem", "advdiff1", "--n", "200", "--a", "3e-4", "--t", "0.5"]
+    assert main(argv + values) == 2
+    assert f"error: {values[-2]} must be" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["solve", "convergence"])

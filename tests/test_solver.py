@@ -1175,15 +1175,20 @@ def test_each_row_is_formed_once_per_t(monkeypatch):
     assert len(formed) > 2
 
 
-# factorially decaying magnitudes, as the rows have, and arbitrary ones
+# factorially decaying magnitudes, as the rows have, and arbitrary ones; and
+# up to 130 rows (advdiff2's k_max is 119) in runs of equal magnitudes, with
+# zeros and the smallest subnormal among them, so that suffix sums tie
 MAGNITUDES = st.one_of(
     st.builds(lambda scale, noise: 10.0 ** (scale - np.cumsum(noise)),
               st.floats(-200, 200), st.lists(st.floats(0.0, 3.0), min_size=1, max_size=40)),
-    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=40))
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-300, 1e300)), min_size=1, max_size=40),
+    st.lists(st.tuples(st.one_of(st.sampled_from([0.0, 5e-324]), st.floats(1e-300, 1e300)),
+                       st.integers(1, 40)),
+             min_size=1, max_size=12).map(lambda runs: [m for m, n in runs for _ in range(n)][:130]))
 
 
 @settings(max_examples=300, deadline=None)
-@given(m=MAGNITUDES, over=st.lists(st.floats(1.0, 1e30), min_size=40, max_size=40),
+@given(m=MAGNITUDES, over=st.lists(st.floats(1.0, 1e30), min_size=130, max_size=130),
        x=st.one_of(st.just(0.0), st.floats(-30.0, 30.0), st.complex_numbers(max_magnitude=30.0),
                    st.floats(-1e3, 1e3)))
 def test_cut_from_leading_rows_is_the_cut_of_all_rows(m, over, x):
