@@ -16,10 +16,22 @@ forms w = L u. One projection G = Q_p^H [u, w] and one update
 pass, which finishes column p of H and q_{p+1}, and, through
 L Q_p = Q_{p+1} Hbar_p, the first pass of L q_{p+1} and the next pending
 vector: two sweeps over the basis per step instead of four.
+
+The projection reads each column only over its significant blocks. Once
+the operator is scaled, the trailing blocks of a column are tiny (A_0
+dominates), and the column's projection length K (whole blocks) leaves a
+tail whose 2-norm is at most u = 2^-53. For any y the dropped part of
+q^H y is then at most u ||y||, below the rounding error bound
+gamma_k ||q|| ||y|| of the computed inner product itself (Higham, Accuracy
+and Stability of Numerical Algorithms, 2002, sec. 3.1), so the projection
+is as accurate as the full one. The update is never cut: evaluation scales
+block l by |gamma eps|^l, so each block of a column, however small, must
+keep its own relative accuracy, which only the full prefix gives it.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -43,6 +55,10 @@ CHUNK = 16
 #: rows and more made the two-row projection and update up to 2x slower.
 SLAB = 8192
 
+#: Unit roundoff of float64; a column's tail past its projection length has
+#: 2-norm at most this.
+_U = 2.0 ** -53
+
 
 def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
     """Upper bound on max_i |rows[l, i]| for each row l, with no temporary
@@ -64,10 +80,17 @@ class StaircaseBasis:
     Entries of a chunk below a column's prefix are zero; readers go through
     `_blocks`, which leaves out of each slab the columns that end above it,
     and which can read a window of rows alone. Each chunk also keeps, for
-    each of its columns, an upper bound on the largest magnitude in each
-    block of n rows (`_row_magnitudes`), so `row_bounds` can bound the
-    blocks of Q_m w without reading the chunks, and `AtTime` forms only the
-    blocks a caller asks for.
+    each of its columns, an upper bound nu_l on the largest magnitude in
+    each block l of n rows (`_row_magnitudes`), so `row_bounds` can bound
+    the blocks of Q_m w without reading the chunks, and `AtTime` forms only
+    the blocks a caller asks for.
+
+    From nu each column also gets a projection length: the fewest leading
+    whole blocks K >= 1 with n sum_{l>=K} nu_l^2 <= u^2, so its tail past
+    K has 2-norm at most u (nu carries the sqrt(2) of complex entries).
+    The lengths are kept as a running maximum, so they never decrease and
+    never pass the prefix. `project` reads only these; `accumulate`,
+    `AtTime.form` and `dense` read the full prefixes (module docstring).
     """
 
     def __init__(self, n: int, N: int, dtype):
@@ -76,6 +99,8 @@ class StaircaseBasis:
         self.dtype = np.dtype(dtype)
         self._chunks: list[np.ndarray] = []
         self._maxima: list[np.ndarray] = []  # (blocks, CHUNK) per chunk
+        self._prefix: list[int] = []  # length(j) of each column j
+        self._reach: list[int] = []  # projection length of each column, in rows
         self._count = 0
 
     def length(self, j: int) -> int:
@@ -103,8 +128,13 @@ class StaircaseBasis:
             self._maxima.append(np.zeros((height // self.n, CHUNK)))
         column = self._chunks[-1][:v.size, j % CHUNK]
         column[:] = v
-        self._maxima[-1][:v.size // self.n, j % CHUNK] = _row_magnitudes(
-            column.reshape(-1, self.n))
+        nu = _row_magnitudes(column.reshape(-1, self.n))
+        self._maxima[-1][:len(nu), j % CHUNK] = nu
+        # the tail sums n sum_{l>=K} nu_l^2 for K = k-1, ..., 1 of the k blocks
+        tails = self.n * np.cumsum(nu[:0:-1] ** 2)
+        reach = self.n * (1 + int(np.count_nonzero(tails > _U * _U)))
+        self._prefix.append(v.size)
+        self._reach.append(max(reach, self._reach[-1]) if j else reach)
         self._count = j + 1
 
     def column(self, j: int) -> np.ndarray:
@@ -115,39 +145,48 @@ class StaircaseBasis:
         v.flags.writeable = False
         return v
 
-    def _blocks(self, m: int, start: int = 0, stop: int | None = None):
+    def _blocks(self, m: int, start: int = 0, stop: int | None = None,
+                lengths: list[int] | None = None):
         """(first column, first row, block) triples covering columns 0..m-1,
-        in the slabs whose first row r has start <= r < stop (all by default),
-        start a multiple of `SLAB`.
+        each column j over its first lengths[j] rows, in the slabs whose first
+        row r has start <= r < stop (all by default), start a multiple of
+        `SLAB`. The lengths must be nondecreasing and at most the prefixes;
+        by default they are the prefixes.
 
-        Each chunk is cut to the prefix of its last column and into slabs of
+        Each chunk is cut to the length of its last column and into slabs of
         at most `SLAB` rows, starting at multiples of `SLAB`. A slab starting
-        at row r holds only the columns whose prefix reaches row r, so the
-        zeros below a column's prefix are read only within the slab that
-        holds its last stored row. A window reads the same slabs as the full
-        pass does, so a row read in pieces gets the same products.
+        at row r holds only the columns whose length passes row r, so the
+        rows past a column's length are read only within the slab that
+        holds its last row. A window reads the same slabs as the full pass
+        does, so a row read in pieces gets the same products.
+
+        `project` passes the projection lengths, whose cut drops at most
+        u ||y|| from each inner product; everything else reads the full
+        prefixes, as the blocks it forms are scaled by |gamma eps|^l.
         """
         if not 0 <= m <= self._count:
             raise ValueError(f"{m} columns requested, {self._count} stored")
-        n, step = self.n, self.n * self.N
+        if lengths is None:
+            lengths = self._prefix
         for a in range(0, m, CHUNK):
             b = min(a + CHUNK, m)
-            height = self.length(b - 1)
+            height = lengths[b - 1]
             chunk = self._chunks[a // CHUNK]
             for r in range(start, height if stop is None else min(stop, height), SLAB):
-                # first column c with length(c) = n + c*step > r
-                c = a if r < n else max(a, (r - n) // step + 1)
+                c = bisect.bisect_right(lengths, r, a, b)  # first c with lengths[c] > r
                 yield c, r, chunk[r:min(r + SLAB, height), c - a:b - a]
 
     def project(self, Y: np.ndarray, m: int) -> np.ndarray:
-        """Q_m^H y for each row y of Y, shape (rows, m), over the first m columns.
+        """Q_m^H y for each row y of Y, shape (rows, m), over the first m
+        columns, each read over its projection length only: within u ||y||
+        of the full product, below the product's own rounding bound.
 
         Y is a C-order (rows, length) array whose rows reach at least
         column m-1's length; each slab is one BLAS product over all rows.
         """
         G = np.zeros((len(Y), m), dtype=np.result_type(self.dtype, Y.dtype))
         Yc = Y.conj()
-        for a, r, B in self._blocks(m):
+        for a, r, B in self._blocks(m, lengths=self._reach):
             G[:, a:a + B.shape[1]] += Yc[:, r:r + B.shape[0]] @ B
         return G.conj()
 

@@ -309,9 +309,11 @@ def _check_positive_t(t) -> float:
 
 
 def _check_eps(eps) -> float | complex:
+    # a Python float or int skips np.iscomplexobj, most of the cost of a check
+    eps = float(eps) if type(eps) in (float, int) or not np.iscomplexobj(eps) else complex(eps)
     if not cmath.isfinite(eps):
         raise ValueError(f"eps must be finite, got {eps}")
-    return complex(eps) if np.iscomplexobj(eps) else float(eps)
+    return eps
 
 
 class _raise_on_overflow:

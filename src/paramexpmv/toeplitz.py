@@ -43,6 +43,17 @@ class MatrixPolynomial:
         """`norm_bound` of each coefficient, computed once, on first use."""
         return tuple(norm_bound(C) for C in self.coeffs)
 
+    @cached_property
+    def _row_support(self) -> tuple[tuple[np.ndarray | slice, sp.csr_array], ...]:
+        """(rows, CSR of those rows) for each coefficient, rows its rows with
+        a stored entry, or (all rows, coefficient) when every row has one;
+        computed once, on first use."""
+        support = []
+        for C in self.coeffs:
+            rows = np.flatnonzero(np.diff(C.indptr))
+            support.append((slice(None), C) if len(rows) == self.dim else (rows, as_csr(C[rows])))
+        return tuple(support)
+
     @property
     def dtype(self):
         return np.result_type(np.float64, *(C.dtype for C in self.coeffs))
@@ -105,7 +116,13 @@ def structured_matvec(P: MatrixPolynomial, x: np.ndarray) -> np.ndarray:
 
 def structured_matvec_add(P: MatrixPolynomial, x: np.ndarray, y: np.ndarray) -> None:
     """y += L x in place, for contiguous x of j whole blocks and y of exactly
-    j+N blocks; unchecked, for callers that keep their own output buffer."""
+    j+N blocks; unchecked, for callers that keep their own output buffer.
+
+    A coefficient with empty rows is applied over its other rows alone,
+    into those entries of each block: each of them gets the sum the whole
+    coefficient gives it, and the others nothing, so the result is the
+    same bit for bit.
+    """
     n = P.dim
     X = x.reshape(-1, n)
     Y = y.reshape(-1, n)
@@ -113,8 +130,8 @@ def structured_matvec_add(P: MatrixPolynomial, x: np.ndarray, y: np.ndarray) -> 
     # one C-ordered copy shared by all N+1 products; scipy would otherwise
     # copy the F-ordered X.T afresh for each of them
     XT = np.ascontiguousarray(X.T)
-    for i, A in enumerate(P.coeffs):
-        Y[i:i + j] += (A @ XT).T
+    for i, (rows, A) in enumerate(P._row_support):
+        Y[i:i + j, rows] += (A @ XT).T
 
 
 def heuristic_gamma(P: MatrixPolynomial) -> float:

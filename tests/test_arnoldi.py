@@ -415,3 +415,97 @@ def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
             assert np.isnan(out[formed + 1:]).all()
         assert formed == d.k_max and len(written) == len(set(written))
         np.testing.assert_array_equal(out, ref)
+
+
+U = 2.0 ** -53
+
+
+def staircase_of_decaying_columns(rng, n, N, dtype, count, rates):
+    """A basis of `count` unit columns whose block l is scaled by 10^(-rate l)."""
+    basis = StaircaseBasis(n, N, dtype)
+    for j in range(count):
+        k = 1 + j * N
+        v = rng.standard_normal((k, n)).astype(dtype)
+        if basis.dtype.kind == "c":
+            v += 1j * rng.standard_normal((k, n))
+        v *= 10.0 ** (-rates[j % len(rates)] * np.arange(k))[:, None]
+        basis.append((v / np.linalg.norm(v)).ravel())
+    return basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 5), N=st.integers(0, 3), complex_basis=st.booleans(),
+       count=st.integers(1, 2 * CHUNK + 3), rates=st.lists(st.floats(0.0, 12.0), min_size=1,
+                                                          max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_projection_lengths_cut_only_what_rounding_hides(n, N, complex_basis, count, rates,
+                                                        seed):
+    # past its projection length each column has 2-norm <= u, the lengths
+    # never decrease nor pass the prefixes, and project stays within
+    # u ||y|| plus the rounding bounds of both products of the dense Q^H y
+    # (gamma_{L+2} |q|^T |y| each, complex inner products included)
+    rng = np.random.default_rng(seed)
+    dtype = np.complex128 if complex_basis else np.float64
+    basis = staircase_of_decaying_columns(rng, n, N, dtype, count, rates)
+    reach = basis._reach
+    assert reach[0] >= n and all(a <= b for a, b in zip(reach, reach[1:]))
+    for j in range(count):
+        q = basis.column(j)
+        assert reach[j] % n == 0 and reach[j] <= q.size
+        assert np.linalg.norm(q[reach[j]:]) <= U * (1 + 1e-12)  # the norm's own rounding
+    m = count
+    Q = basis.dense(m)
+    L = Q.shape[0]
+    Y = rng.standard_normal((2, L)) + 1j * rng.standard_normal((2, L))
+    G = basis.project(Y, m)
+    gamma = (L + 2) * U / (1 - (L + 2) * U)
+    bound = (U * np.linalg.norm(Y, axis=1)[:, None]
+             + 2 * gamma * np.abs(Y) @ np.abs(Q))
+    assert np.all(np.abs(G - Y @ Q.conj()) <= bound)
+
+
+def test_only_project_reads_the_projection_lengths():
+    # the rows of Q_m w past the projection lengths are tiny, but evaluation
+    # scales block l by |gamma eps|^l: the update, the rows a solution forms
+    # and the dense copy must keep them to working accuracy, entry by entry
+    d = build(*gen_advdiff1(200, 3e-4), 60).decomposition
+    basis, m = d.staircase, d.p
+    assert basis._reach[m - 1] < basis.length(m - 1) // 2
+    Q = basis.dense(m)
+    for j in range(m):
+        np.testing.assert_array_equal(Q[:basis.length(j), j], basis.column(j))
+    w = d.at(0.5).w
+    ref = Q @ w
+    tail = slice(basis._reach[m - 1], None)
+    assert np.all(ref[tail] != 0) and np.abs(ref[tail]).max() < 1e-20
+    floor = 1e-13 * (np.abs(Q) @ np.abs(w))
+    y = np.zeros_like(ref)
+    basis.accumulate(y, w)
+    rows = AtTime(basis, w, 0.0).form(d.k_max).rows.ravel()
+    for got in (y, rows):
+        assert np.all(np.abs(got - ref) <= floor)
+    # the update of the Arnoldi sweep is the same accumulate over two rows
+    Y = np.zeros((2, ref.size))
+    basis.accumulate(Y, np.stack([w, -w]))
+    assert np.all(np.abs(Y - [ref, -ref]) <= floor)
+
+
+def test_project_reads_at_most_half_the_staircase(monkeypatch):
+    d = build(*gen_advdiff1(200, 3e-4), 60).decomposition
+    basis, m = d.staircase, d.ncols
+    read = []
+    blocks = StaircaseBasis._blocks
+
+    def counted(self, *args, **kwargs):
+        for c, r, B in blocks(self, *args, **kwargs):
+            read.append(B.nbytes)
+            yield c, r, B
+
+    monkeypatch.setattr(StaircaseBasis, "_blocks", counted)
+    Y = np.ones((2, basis.length(m - 1)))
+    G = basis.project(Y, m)
+    staircase = sum(basis.length(j) for j in range(m)) * basis.dtype.itemsize
+    assert 0 < sum(read) <= staircase / 2
+    # the full projection differs from the cut one by at most u ||y|| a column
+    Q = basis.dense(m)
+    assert np.all(np.abs(G - Y @ Q) <= 1e-13 * np.linalg.norm(Y, axis=1)[:, None])

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from test_problems import MISTYPED, broken_manifest, mistyped_manifest
 
 
 def read_csv(path):
-    lines = [ln for ln in open(path).read().splitlines() if ln]
+    lines = [ln for ln in Path(path).read_text().splitlines() if ln]
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
@@ -213,7 +214,7 @@ def test_non_finite_data_is_usage_error(tmp_path, capsys):
 def test_empty_coefficient_list_is_usage_error(tmp_path, capsys):
     P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
     manifest = write_problem(tmp_path / "empty", "advdiff1", P, u0, {})
-    data = json.loads(open(manifest).read())
+    data = json.loads(Path(manifest).read_text())
     data["paths"]["coefficients"] = []
     with open(manifest, "w") as fh:
         json.dump(data, fh)
@@ -390,7 +391,7 @@ def test_deterministic_output(tmp_path):
 
 def test_module_run_writes_csv(tmp_path):
     # the README's adaptive `solve` command, run as `python -m paramexpmv.cli`
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    readme = Path(__file__).parent.parent.joinpath("README.md").read_text()
     command = re.search(r"^paramexpmv solve .*?--out \S+$", readme, re.M | re.S).group(0)
     argv = shlex.split(command.replace("\\\n", " "))
     assert argv[argv.index("--out") + 1] == "solutions.csv"

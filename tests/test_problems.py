@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +192,7 @@ def broken_manifest(tmp_path, kind) -> str:
     replaced by text that is not JSON."""
     P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
     manifest = write_problem(tmp_path / "prob", "advdiff1", P, u0, {})
-    data = json.loads(open(manifest).read())
+    data = json.loads(Path(manifest).read_text())
     if kind == "paths":
         del data["paths"]
     elif kind == "u0":
@@ -214,7 +215,7 @@ def mistyped_manifest(tmp_path, kind) -> str:
     """Path of a written manifest with one value of the wrong JSON type."""
     P, u0 = generate("advdiff1", {"n": 8, "a": 1e-3})
     manifest = write_problem(tmp_path / "prob", "advdiff1", P, u0, {})
-    data = json.loads(open(manifest).read())
+    data = json.loads(Path(manifest).read_text())
     if kind == "array":
         data = [data]
     elif kind == "paths":

@@ -1,8 +1,8 @@
 import dataclasses
 import math
-import os
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -483,7 +483,7 @@ def test_evaluate_at_single_precision_eps_is_finite():
     S = build(*gen_advdiff1(200, 3e-4), 40)
     assert abs(S.gamma * 0.015) ** (S.k_max - 1) > float(np.finfo(np.float32).max)
     for t, eps in [(0.5, np.float32(0.015)), (0.5, np.complex64(0.015 + 0.002j)),
-                   (np.float32(0.3), 0.015)]:
+                   (0.5, np.array(0.015 + 0.002j)), (np.float32(0.3), 0.015)]:
         value = (float(t), complex(eps) if np.iscomplexobj(eps) else float(eps))
         for call in ("evaluate", "aposteriori_krylov", "error_report"):
             got = getattr(S.with_p(S.p), call)(t, eps)
@@ -551,6 +551,18 @@ def test_non_finite_eps_is_rejected(eps, monkeypatch):
     P, u0 = gen_advdiff1(20, 1e-3)
     with pytest.raises(ValueError, match="eps must be finite"):
         solve_adaptive(P, u0, [(0.5, 1e-2), (0.5, eps)], tol=1e-8)
+
+
+@pytest.mark.parametrize("eps, ref", [
+    (0.25, 0.25), (3, 3.0), (np.float32(0.25), 0.25), (np.float64(0.25), 0.25),
+    (np.array(0.25), 0.25), (1 + 2j, 1 + 2j), (np.complex64(1 + 2j), 1 + 2j),
+    (np.array(1 + 2j), 1 + 2j), (np.complex128(1), 1 + 0j), (np.array(1 + 0j), 1 + 0j),
+], ids=repr)
+def test_check_eps_keeps_real_and_complex_apart(eps, ref):
+    # Python floats and ints take the fast path; NumPy scalars and 0-d
+    # arrays keep their kind, a complex one with zero imaginary part too
+    got = solver._check_eps(eps)
+    assert type(got) is type(ref) and got == ref
 
 
 def breakdown_solution():
@@ -1067,7 +1079,7 @@ def test_build_rejects_nan_coefficients():
 
 def test_readme_library_usage_runs():
     # the README's "Library usage" block, run as written
-    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md")).read()
+    readme = Path(__file__).parent.parent.joinpath("README.md").read_text()
     block = re.search(r"^## Library usage\n+```python\n(.*?)^```$", readme, re.M | re.S).group(1)
     ns = {}
     exec(compile(block, "README.md", "exec"), ns)

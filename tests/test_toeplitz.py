@@ -109,6 +109,32 @@ def test_structured_matvec_add_bit_identical_to_per_product_transpose(N, complex
         np.testing.assert_array_equal(y, ref)
 
 
+@pytest.mark.parametrize("complex_x", [False, True])
+def test_structured_matvec_add_over_nonzero_rows_is_bit_identical(complex_x):
+    # A_1 has empty rows and A_2 none but zero entries: each is applied over
+    # its stored rows alone, with the sums the whole coefficient gives
+    rng = np.random.default_rng(5)
+    n, j = 9, 3
+    A0 = rng.standard_normal((n, n))
+    A1 = np.zeros((n, n))
+    A1[[1, 4, 5]] = rng.standard_normal((3, n)) * (rng.random((3, n)) < 0.6)
+    P = MatrixPolynomial([A0, A1, np.zeros((n, n))])
+    rows = [r for r, _ in P._row_support]
+    assert rows[0] == slice(None)
+    assert list(rows[1]) == list(np.flatnonzero(A1.any(axis=1)))
+    assert len(rows[2]) == 0
+    x = rng.standard_normal(j * n)
+    if complex_x:
+        x = x + 1j * rng.standard_normal(j * n)
+    y = rng.standard_normal((j + 2) * n).astype(x.dtype)
+    ref = y.copy()
+    X, Y = x.reshape(-1, n), ref.reshape(-1, n)
+    for i, A in enumerate(P.coeffs):
+        Y[i:i + j] += (A @ X.T).T
+    structured_matvec_add(P, x, y)
+    np.testing.assert_array_equal(y, ref)
+
+
 def test_heuristic_gamma_value():
     A0 = np.zeros((2, 2))
     A1 = 3.0 * np.eye(2)
