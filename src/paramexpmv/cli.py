@@ -129,7 +129,7 @@ def cmd_solve(args) -> int:
         converged = result.converged
     else:
         S = solver.build(P, u0, args.p, gamma=gamma)
-        reports = [S.error_report(t, e) for t, e in targets]
+        reports = S._reports(targets)
         converged = True
 
     lines = ["t,eps,p_used,aposteriori_estimate,apriori_total"]

@@ -13,7 +13,7 @@ import os
 import numpy as np
 import scipy.sparse as sp
 
-from .linalg import _as_int, as_csr, load_matrix, load_vector, save_matrix, save_vector
+from .linalg import _as_int, load_matrix, load_vector, save_matrix, save_vector
 from .toeplitz import MatrixPolynomial
 
 
@@ -85,37 +85,38 @@ def gen_wave(points_per_dim: int, gamma1: float) -> tuple[MatrixPolynomial, np.n
     if P < 3:
         raise ValueError("points_per_dim must be at least 3")
     n3 = P ** 3
-    idx = np.arange(n3)
-    i = idx % P
-    j = (idx // P) % P
-    k = idx // (P * P)
+    idx = np.arange(n3, dtype=np.int32 if 9 * n3 < 2 ** 31 else np.int64)  # A_0's nnz <= 9 n3
+    k, j, i = np.unravel_index(idx, (P, P, P))
+    c1 = (i == 0).astype(float) + (j == 0).astype(float) + (k == 0).astype(float)
+    c2 = (i == P - 1).astype(float) + (j == P - 1).astype(float) + (k == P - 1).astype(float)
+    damping = -gamma1 * c1
 
-    rows, cols = [], []
-    for axis, coord in enumerate((i, j, k)):
-        stride = P ** axis
-        mask = coord < P - 1
-        rows.append(idx[mask])
-        cols.append(idx[mask] + stride)
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    upper = sp.coo_array((np.full(rows.size, -1.0), (rows, cols)), shape=(n3, n3))
-    K = as_csr(upper + upper.T + sp.diags_array(np.full(n3, 6.0)))
+    # Both coefficients are written as canonical CSR arrays. Displacement
+    # row r holds 1 at column n3+r. Velocity row n3+r holds -K over r and its
+    # in-grid neighbours, then the damping at column n3+r, all in column
+    # order; a zero damping entry is left out, as in a conversion from DIA.
+    offsets = np.array([-P * P, -P, -1, 0, 1, P, P * P, n3], dtype=idx.dtype)
+    stored = np.stack([k > 0, j > 0, i > 0, np.ones(n3, dtype=bool),
+                       i < P - 1, j < P - 1, k < P - 1, damping != 0.0], axis=1)
+    values = np.tile([1.0, 1.0, 1.0, -6.0, 1.0, 1.0, 1.0, 0.0], (n3, 1))
+    values[:, 7] = damping
+    # a node on c1 + c2 boundary faces has 6 - c1 - c2 in-grid neighbours
+    row_nnz = (7.0 - c1 - c2).astype(idx.dtype) + (damping != 0.0)
+    A0 = sp.csr_array(
+        (np.concatenate([np.ones(n3), values[stored]]),
+         np.concatenate([idx + n3, (idx[:, None] + offsets)[stored]]),
+         np.concatenate([np.arange(n3 + 1, dtype=idx.dtype),
+                         n3 + np.cumsum(row_nnz, dtype=idx.dtype)])),
+        shape=(2 * n3, 2 * n3))
+    # A_1 holds -C_2 on the velocity rows where it is nonzero
+    damped = np.flatnonzero(c2).astype(idx.dtype)
+    A1 = sp.csr_array((-c2[damped], damped + n3, np.concatenate(
+        [np.zeros(n3 + 1, dtype=idx.dtype), np.cumsum(c2 != 0.0, dtype=idx.dtype)])),
+        shape=(2 * n3, 2 * n3))
 
-    c1_diag = (i == 0).astype(float) + (j == 0).astype(float) + (k == 0).astype(float)
-    c2_diag = (i == P - 1).astype(float) + (j == P - 1).astype(float) + (k == P - 1).astype(float)
-    C1 = sp.diags_array(c1_diag)
-    C2 = sp.diags_array(c2_diag)
-
-    Z = sp.csr_array((n3, n3))
-    I = sp.eye_array(n3)
-    A0 = as_csr(sp.block_array([[Z, I], [-K, -gamma1 * C1]]))
-    A1 = as_csr(sp.block_array([[Z, Z], [Z, -C2]]))
-
-    x = i / (P - 1.0)
-    y = j / (P - 1.0)
-    z = k / (P - 1.0)
-    disp = np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
-    u0 = np.concatenate([disp, np.zeros(n3)])
+    # sin(pi x) sin(pi y) sin(pi z), each factor from the P grid coordinates
+    s = np.sin(np.pi * (np.arange(P) / (P - 1.0)))
+    u0 = np.concatenate([s[i] * s[j] * s[k], np.zeros(n3)])
     return MatrixPolynomial([A0, A1]), u0
 
 

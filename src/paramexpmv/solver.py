@@ -277,20 +277,20 @@ class ParameterizedSolution:
         ``total_estimate`` is the a posteriori estimate alone; the rigorous
         but pessimistic a priori bounds stay in their own fields.
         """
-        t, eps = _check_positive_t(t), _check_eps(eps)
-        return self._report(t, eps, self._estimates([(t, eps)])[0])
+        return self._reports([(t, eps)])[0]
 
-    def _report(self, t: float, eps, estimate: float) -> ErrorReport:
-        """The report at (t, eps) around its a posteriori estimate."""
-        if self.p >= 2:
-            kry, trunc, total = self.apriori(t, eps)
-        else:
-            kry = trunc = total = math.inf
-        return ErrorReport(
-            t=t, eps=eps,
-            apriori_krylov=kry, apriori_truncation=trunc, apriori_total=total,
-            aposteriori_krylov=estimate, total_estimate=estimate,
-        )
+    def _reports(self, targets: Sequence[tuple[float, complex]],
+                 estimates: Sequence[float] | None = None) -> tuple[ErrorReport, ...]:
+        """`error_report` at each target, in order, with the estimates of one
+        `_estimates` call over all targets unless they are given."""
+        targets = [(_check_positive_t(t), _check_eps(eps)) for t, eps in targets]
+        if estimates is None:
+            estimates = self._estimates(targets)
+        reports = []
+        for (t, eps), est in zip(targets, estimates):
+            bounds = self.apriori(t, eps) if self.p >= 2 else (math.inf,) * 3
+            reports.append(ErrorReport(t, eps, *bounds, aposteriori_krylov=est, total_estimate=est))
+        return tuple(reports)
 
 
 # The checks return Python numbers, so products and cache keys depend on the
@@ -497,6 +497,5 @@ def solve_adaptive(P: MatrixPolynomial, u0, targets: Iterable[tuple[float, compl
         estimates = S._estimates(targets)
         converged = max(estimates) <= tol
         if converged or final:
-            reports = tuple(S._report(t, e, est) for (t, e), est in zip(targets, estimates))
-            return AdaptiveResult(S, reports, converged)
+            return AdaptiveResult(S, S._reports(targets, estimates), converged)
         worst = estimates.index(max(estimates))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import paramexpmv
+import paramexpmv.arnoldi
 import paramexpmv.cli
 import paramexpmv.reference
 import paramexpmv.solver
@@ -38,6 +39,37 @@ def test_solve_fixed_p_stdout(capsys):
     fields = out[1].split(",")
     assert float(fields[0]) == 0.5
     assert int(fields[2]) == 15
+
+
+def test_solve_fixed_p_batches_the_estimates(monkeypatch, capsys):
+    # a 2 x 3 grid: one contraction of q_{p+1} per eps and one small
+    # exponential per t, and every row as error_report gives it
+    args = ["solve", "--problem", "advdiff1", "--n", "30", "--a", "1e-3",
+            "--t", "0.3,0.5", "--eps", "1e-3,1e-2,2e-2i", "--p", "15"]
+    calls = {"power_sum": 0, "at": 0}
+
+    def counted(name, real):
+        def wrapper(*a):
+            calls[name] += 1
+            return real(*a)
+        return wrapper
+
+    monkeypatch.setattr(paramexpmv.solver, "_power_sum",
+                        counted("power_sum", paramexpmv.solver._power_sum))
+    monkeypatch.setattr(paramexpmv.arnoldi.KrylovDecomposition, "at",
+                        counted("at", paramexpmv.arnoldi.KrylovDecomposition.at))
+    assert main(args) == 0
+    assert calls == {"power_sum": 3, "at": 2}
+    monkeypatch.undo()
+    rows = capsys.readouterr().out.splitlines()[1:]
+    S = build(*generate("advdiff1", {"n": 30, "a": 1e-3}), 15)
+    expected = []
+    for t in (0.3, 0.5):
+        for e in (1e-3, 1e-2, 2e-2j):
+            r = S.error_report(t, e)
+            expected.append(",".join([paramexpmv.cli._fmt(x) for x in (r.t, r.eps)] + [
+                "15", paramexpmv.cli._fmt(r.total_estimate), paramexpmv.cli._fmt(r.apriori_total)]))
+    assert rows == expected
 
 
 def test_solve_adaptive_to_file(tmp_path):

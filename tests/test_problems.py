@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -86,6 +87,40 @@ def test_advdiff_coefficients_match_conversion(n, a, b):
             assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
         assert got.has_canonical_format and ref.has_canonical_format
         assert got.has_sorted_indices and ref.has_sorted_indices
+
+
+def wave_by_block_array(P, gamma1):
+    """The wave coefficients and u0 as first built: the Laplacian from COO
+    sums, the damping from DIA arrays, the blocks joined by block_array."""
+    n3 = P ** 3
+    idx = np.arange(n3)
+    i, j, k = idx % P, (idx // P) % P, idx // (P * P)
+    rows = np.concatenate([idx[c < P - 1] for c in (i, j, k)])
+    cols = np.concatenate([idx[c < P - 1] + P ** a for a, c in enumerate((i, j, k))])
+    upper = sp.coo_array((np.full(rows.size, -1.0), (rows, cols)), shape=(n3, n3))
+    K = as_csr(upper + upper.T + sp.diags_array(np.full(n3, 6.0)))
+    C1 = sp.diags_array(sum((c == 0).astype(float) for c in (i, j, k)))
+    C2 = sp.diags_array(sum((c == P - 1).astype(float) for c in (i, j, k)))
+    Z, I = sp.csr_array((n3, n3)), sp.eye_array(n3)
+    A0 = as_csr(sp.block_array([[Z, I], [-K, -gamma1 * C1]]))
+    A1 = as_csr(sp.block_array([[Z, Z], [Z, -C2]]))
+    x, y, z = i / (P - 1.0), j / (P - 1.0), k / (P - 1.0)
+    disp = np.sin(np.pi * x) * np.sin(np.pi * y) * np.sin(np.pi * z)
+    return [A0, A1], np.concatenate([disp, np.zeros(n3)])
+
+
+@pytest.mark.parametrize("P", [3, 5, 8])
+@pytest.mark.parametrize("gamma1", [0.0, 0.3, -1.5])
+def test_wave_coefficients_match_block_array(P, gamma1):
+    # the same entries, bit for bit; the index width may differ
+    got, u0 = gen_wave(P, gamma1)
+    ref, ref_u0 = wave_by_block_array(P, gamma1)
+    for C, R in zip(got.coeffs, ref, strict=True):
+        assert C.shape == R.shape and C.has_canonical_format
+        assert C.data.tobytes() == R.data.tobytes()
+        np.testing.assert_array_equal(C.indices, R.indices)
+        np.testing.assert_array_equal(C.indptr, R.indptr)
+    assert u0.tobytes() == ref_u0.tobytes()
 
 
 def test_advdiff2_paper_scale_norm():
@@ -253,3 +288,52 @@ def test_load_problem_missing_file(tmp_path):
     save_matrix(tmp_path / "A0.mtx", np.eye(2))
     with pytest.raises(FileNotFoundError, match=re.escape(str(tmp_path / "u.mtx"))):
         load_problem([tmp_path / "A0.mtx"], tmp_path / "u.mtx")
+
+
+def problem_digest(P, u0) -> str:
+    """sha256 over each coefficient's indptr, indices (both as int64) and
+    data, then u0: equal digests mean bit-identical problems, whatever the
+    index width."""
+    h = hashlib.sha256()
+    for C in P.coeffs:
+        for part in (C.indptr.astype(np.int64), C.indices.astype(np.int64), C.data):
+            h.update(np.ascontiguousarray(part).tobytes())
+    h.update(np.ascontiguousarray(u0).tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the generators as first assembled: wave through SciPy's COO
+# sums and block_array, advdiff through _tridiag. A generator rewrite must
+# reproduce its problems bit for bit.
+GOLDEN_DIGESTS = [
+    ("wave", {"points": 3, "gamma1": 0.0},
+     "af2169c17d47e4026b5acd18099502d5d5c3d48075883b2dd873d2889e666022"),
+    ("wave", {"points": 3, "gamma1": 2.0},
+     "e8ed5ae277b07288fb188d0816898c416e07e8ed527cd6b484e06894eab1d249"),
+    ("wave", {"points": 4, "gamma1": 0.0},
+     "a24e270f70251395e534d7768e294849d548e89c8c8701b8151a1dd8cee2d953"),
+    ("wave", {"points": 4, "gamma1": 2.0},
+     "fa0bb5244f7193db28b7419b005626017baf9de51df883f90b284351796fc98e"),
+    ("wave", {"points": 15, "gamma1": 0.0},
+     "e70415e1ac48677f54300a45af9622e824abc31efeb37403c01fc0288b956962"),
+    ("wave", {"points": 15, "gamma1": 2.0},
+     "d3f4fb0c3c90da692923e9d5bf9d4cfb98e589e65a20885e57e6a53e8049aeda"),
+    ("advdiff1", {"n": 50, "a": 3e-4},
+     "2ebd91973cd6f950976c7122c80e568dd0587cf959dcba360cded49ca515fdc2"),
+    ("advdiff1", {"n": 2000, "a": 3e-4},
+     "29ac5b450ca3d510656055717b715376fd22baa13001e595ecbfe1f10a68a082"),
+    ("advdiff2", {"n": 40, "a": 3e-4, "b": 2e2},
+     "7d2f558b0af00104be75364d553b0bd3990ecd3a8ec4cb3a7a9387c946dd4bbf"),
+    ("advdiff2", {"n": 300, "a": 3e-4, "b": 2e2},
+     "27f0d31e03c3c2e81d3d35a00dc8b590a48211ad9cd50482fa6594c1f33697b4"),
+]
+
+
+@pytest.mark.parametrize("name, params, expected", GOLDEN_DIGESTS,
+                         ids=[f"{name}-" + "-".join(f"{k}={v:g}" for k, v in params.items())
+                              for name, params, _ in GOLDEN_DIGESTS])
+def test_generated_problem_matches_golden_digest(name, params, expected):
+    P, u0 = generate(name, params)
+    assert problem_digest(P, u0) == expected
+    for C in P.coeffs:
+        assert C.data.dtype == np.float64 and C.has_canonical_format

@@ -270,6 +270,32 @@ def horner_problem(name):
 HORNER_X = [0.0, 0.5, -0.3 + 0.6j, 50.0, 30.0 - 30.0j]
 
 
+def test_cut_meets_the_floor_at_an_exact_tie():
+    # At x = 1 with magnitudes [1, m1, m2], _cut's terms are exp(log m) and
+    # its floor is u * fl(1 + fl(t2 + t1)). Picking m1 so that the floor
+    # equals t2 exactly makes s_2 = t2 tie with it: L = 2 meets the floor,
+    # and a strict comparison would never settle the cut with all rows
+    # formed. The terms depend on the platform's exp and log, so the tie is
+    # searched for here, among the floats next to the m1 that sums to it.
+    m2 = 1.3e-16
+
+    def terms(m1):
+        return np.exp(np.log(np.array([1.0, m1, m2])))
+
+    t2 = terms(0.5)[2]
+    floor_sum = t2 / U  # the sum that puts the floor at t2
+    m1 = floor_sum - 1.0 - t2
+    for _ in range(64):
+        _, t1, _ = terms(m1)
+        if 1.0 + (t2 + t1) == floor_sum:
+            break
+        m1 = np.nextafter(m1, 0.0 if 1.0 + (t2 + t1) > floor_sum else 1.0)
+    else:
+        pytest.fail("no exact tie near m1")
+    m = np.array([1.0, m1, m2])
+    assert full_cut(m, 1.0) == 2
+
+
 @pytest.mark.parametrize("complex_rows", [False, True])
 @pytest.mark.parametrize("x", HORNER_X)
 def test_evaluate_matches_horner(complex_rows, x):
