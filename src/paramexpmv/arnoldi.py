@@ -4,7 +4,9 @@ Each iteration applies the structured matvec to the newest basis column,
 which adds N blocks, so column j (0-based) of the basis is nonzero only in
 its first n*(1+j*N) entries. `StaircaseBasis` stores just these prefixes,
 packed into column-major chunks, and is the one place that knows the
-layout.
+layout. `AtTime` forms and sums the coefficient rows Q_p w of one t, and
+`KrylovDecomposition.eps_factor` contracts q_{p+1}: no row or block leaves
+the module.
 
 Orthogonalization is lagged CGS2, the delayed reorthogonalization of DCGS2
 (Swirydowicz et al., Numer. Linear Algebra Appl. 2021): classical
@@ -70,6 +72,93 @@ def _row_magnitudes(rows: np.ndarray) -> np.ndarray:
     return np.maximum(rows.max(axis=1), -rows.min(axis=1))
 
 
+def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
+    """Fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
+    for u = 2^-53, the float64 unit roundoff, from the magnitudes m of the
+    first `formed` rows and upper bounds on the others (both in
+    `magnitudes`); None while these do not settle L.
+
+    The terms are compared in log space, so every finite x is covered. The
+    left-out terms at L sum to between s_L, the formed ones, and s_L + b, b
+    the bounded rest. L is settled when it surely meets the floor and L - 1
+    surely does not, by a relative margin of 2^-20 that covers the rounding
+    of the bounds; with every row formed the margin is 0 and L is always
+    settled. The s_L come from one cumulative sum over the formed terms in
+    reverse; as every term is >= 0, s_L + b does not increase with L, so one
+    binary search finds the first L that meets the floor. x = 0 and
+    all-zero magnitudes give 1 (once a row is formed); a non-finite
+    magnitude (or x) gives all rows once all are formed, so an overflow is
+    met as it would be in the full sum.
+    """
+    k, ax = len(magnitudes), abs(x)
+    if formed == 0:
+        return None
+    if ax == 0.0:
+        return 1
+    if not math.isfinite(ax):
+        return k if formed == k else None
+    # l log|x| + log m_l, then the terms over the largest, in place
+    logs = np.arange(k, dtype=np.float64)
+    logs *= math.log(ax)
+    with np.errstate(divide="ignore"):
+        logs += np.log(magnitudes)
+    top = np.maximum.reduce(logs)
+    if not math.isfinite(top):
+        return 1 if top == -math.inf else k if formed == k else None
+    logs -= top
+    terms = np.exp(logs, out=logs)
+    margin = 0.0 if formed == k else 2.0 ** -20
+    # c[j] = s_{formed-1-j}; s_formed = 0
+    c = np.add.accumulate(terms[formed - 1::-1])
+    b = float(np.add.reduce(terms[formed:])) * (1 + margin) if margin else 0.0
+    floor = 2.0 ** -53 * c[-1] * (1 - margin)
+    # c + b does not decrease, so its first J entries are those <= floor:
+    # L = formed - J meets the floor and L - 1 does not
+    J = int((c + b if b else c).searchsorted(floor, side="right"))
+    if J == 0 and not b <= floor:
+        return None
+    L = formed - J
+    if L > 1 and not c[J] > 2.0 ** -53 * (c[-1] + b) * (1 + margin):
+        return None
+    return L
+
+
+def _power_sum(C: np.ndarray, x) -> np.ndarray:
+    """sum_l x^l C[l] over the rows of C: one BLAS product per block of rows.
+
+    Blocks hold b rows, with |x|^b finite (b = len(C) when |x| <= 1); Horner's
+    rule in x^b joins the block sums. When one block holds every row, as
+    whenever |x|^len(C) <= 1e300, its product is the answer. For real C and
+    complex x the powers enter as a real (b, 2) matrix [Re, Im], so C is
+    never cast to complex.
+    """
+    k = len(C)
+    ax = abs(x)
+    # |x|^b <= 1e300
+    b = k if ax <= 1.0 else max(1, min(k, math.floor(300 / math.log10(ax))))
+    complex_x = isinstance(x, (complex, np.complexfloating))
+    # x^0 .. x^b in double precision: b is chosen for the float64 range
+    powers = np.empty(b + 1, dtype=np.complex128 if complex_x else np.float64)
+    powers[0] = 1.0
+    powers[1:] = x
+    np.multiply.accumulate(powers, out=powers)
+    # real C, complex x: (b+1, 2) C-ordered [Re, Im] rows, a view of the powers
+    V = powers.view(np.float64).reshape(-1, 2) if complex_x and C.dtype.kind != "c" else powers
+
+    def product(block):
+        s = block.T @ V[:len(block)]
+        # (n, 2) C-ordered rows [Re, Im] read in place as complex
+        return s.view(np.complex128)[:, 0] if s.ndim == 2 else s
+
+    if b == k:
+        return product(C)
+    u = None
+    for start in range((k - 1) // b * b, -1, -b):
+        s = product(C[start:start + b])
+        u = s if u is None else s + powers[b] * u
+    return u
+
+
 class StaircaseBasis:
     """Growing set of basis columns, column j holding n*(1+j*N) entries.
 
@@ -83,14 +172,14 @@ class StaircaseBasis:
     each of its columns, an upper bound nu_l on the largest magnitude in
     each block l of n rows (`_row_magnitudes`), so `row_bounds` can bound
     the blocks of Q_m w without reading the chunks, and `AtTime` forms only
-    the blocks a caller asks for.
+    the blocks it needs.
 
     From nu each column also gets a projection length: the fewest leading
     whole blocks K >= 1 with n sum_{l>=K} nu_l^2 <= u^2, so its tail past
     K has 2-norm at most u (nu carries the sqrt(2) of complex entries).
     The lengths are kept as a running maximum, so they never decrease and
     never pass the prefix. `project` reads only these; `accumulate`,
-    `AtTime.form` and `dense` read the full prefixes (module docstring).
+    `AtTime` and `dense` read the full prefixes (module docstring).
     """
 
     def __init__(self, n: int, N: int, dtype):
@@ -101,7 +190,6 @@ class StaircaseBasis:
         self._maxima: list[np.ndarray] = []  # (blocks, CHUNK) per chunk
         self._prefix: list[int] = []  # length(j) of each column j
         self._reach: list[int] = []  # projection length of each column, in rows
-        self._count = 0
 
     def length(self, j: int) -> int:
         """Prefix length of column j."""
@@ -110,7 +198,7 @@ class StaircaseBasis:
     @property
     def count(self) -> int:
         """Number of stored columns."""
-        return self._count
+        return len(self._prefix)
 
     @property
     def nbytes(self) -> int:
@@ -119,7 +207,7 @@ class StaircaseBasis:
 
     def append(self, v: np.ndarray) -> None:
         """Store v as the next column; its length must be that column's prefix."""
-        j = self._count
+        j = self.count
         if v.shape != (self.length(j),):
             raise ValueError(f"column {j} must have length {self.length(j)}, got {v.shape}")
         if j % CHUNK == 0:
@@ -135,12 +223,11 @@ class StaircaseBasis:
         reach = self.n * (1 + int(np.count_nonzero(tails > _U * _U)))
         self._prefix.append(v.size)
         self._reach.append(max(reach, self._reach[-1]) if j else reach)
-        self._count = j + 1
 
     def column(self, j: int) -> np.ndarray:
         """Contiguous read-only view of the nonzero prefix of column j."""
-        if not 0 <= j < self._count:
-            raise IndexError(f"column {j} out of range for {self._count} columns")
+        if not 0 <= j < self.count:
+            raise IndexError(f"column {j} out of range for {self.count} columns")
         v = self._chunks[j // CHUNK][:self.length(j), j % CHUNK]
         v.flags.writeable = False
         return v
@@ -164,8 +251,8 @@ class StaircaseBasis:
         u ||y|| from each inner product; everything else reads the full
         prefixes, as the blocks it forms are scaled by |gamma eps|^l.
         """
-        if not 0 <= m <= self._count:
-            raise ValueError(f"{m} columns requested, {self._count} stored")
+        if not 0 <= m <= self.count:
+            raise ValueError(f"{m} columns requested, {self.count} stored")
         if lengths is None:
             lengths = self._prefix
         for a in range(0, m, CHUNK):
@@ -201,7 +288,9 @@ class StaircaseBasis:
     def row_bounds(self, w: np.ndarray) -> np.ndarray:
         """M_l = sum_j |w_j| nu_lj for each block l of column m-1 (m = len(w)),
         nu_lj the kept bound on block l of column j, so every entry of block
-        l of Q_m w is at most M_l in magnitude; +inf past the float range."""
+        l of Q_m w is at most M_l in magnitude, times the sqrt(2) of
+        `_row_magnitudes` for complex Q_m w; +inf past the float range."""
+        scale = math.sqrt(2.0) if np.iscomplexobj(w) or self.dtype.kind == "c" else 1.0
         w = np.abs(w)
         M = np.zeros(self.length(len(w) - 1) // self.n)
         with np.errstate(over="ignore"):
@@ -209,6 +298,7 @@ class StaircaseBasis:
                 b = min(a + CHUNK, len(w))
                 nu = self._maxima[a // CHUNK][:self.length(b - 1) // self.n, :b - a]
                 M[:len(nu)] += nu @ w[a:b]
+            M *= scale
         return M
 
     def dense(self, m: int) -> np.ndarray:
@@ -230,8 +320,9 @@ class KrylovDecomposition:
     matrix with nonnegative subdiagonal. On lucky breakdown there are only
     p columns and the last row of `H` is zero: the decomposition is exact.
     `Q` is a dense zero-padded copy of the columns, built on first access,
-    for tests and inspection. A solution reads only `at`, `residual_blocks`,
-    `k_max` and `truncate`, so the layout stays in this module.
+    for tests and inspection. A solution reads only `p`, `beta`, `k_max`,
+    `at`, `eps_factor` and `truncate`, and an `AtTime` only through
+    `t_factor`, `evaluate` and `first`: rows and blocks stay in this module.
     """
 
     staircase: StaircaseBasis
@@ -255,16 +346,19 @@ class KrylovDecomposition:
         """Leading p x p submatrix of the Hessenberg matrix."""
         return self.H[:self.p, :self.p]
 
-    @property
+    @cached_property
     def residual_vector(self):
         """Read-only nonzero prefix of the basis vector q_{p+1}, or None on breakdown."""
         return None if self.breakdown else self.staircase.column(self.p)
 
-    @property
-    def residual_blocks(self):
-        """The 1+Np blocks of q_{p+1}, read-only, shape (1+Np, n); None on breakdown."""
-        q = self.residual_vector
-        return None if q is None else q.reshape(-1, self.staircase.n)
+    def eps_factor(self, x) -> float:
+        """||sum_l x^l q_{p+1,l}|| over the 1+Np blocks of q_{p+1} (`_power_sum`):
+        0.0 on lucky breakdown, NaN or +inf if the contraction overflows."""
+        if self.breakdown:
+            return 0.0
+        q = self.residual_vector.reshape(-1, self.staircase.n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.linalg.norm(_power_sum(q, x)))
 
     @property
     def k_max(self) -> int:
@@ -297,56 +391,66 @@ class KrylovDecomposition:
 
 class AtTime:
     """What depends on t alone, from one small exponential: w, read-only, the
-    estimate's t-factor, and the coefficient rows Q_m w (m = len(w)).
+    estimate's t-factor, and the coefficient rows Q_m w (m = len(w)), which
+    only `evaluate` and `first` (read-only views) read.
 
-    `rows` is a C-order (k, n) array, k the blocks of column m-1, whose first
-    `formed` rows are formed. `magnitudes` bounds each row's largest magnitude:
-    `_row_magnitudes` of the formed rows, and of the others the basis's
-    `row_bounds` times the sqrt(2) `_row_magnitudes` carries for complex rows;
-    +inf past the float range. Both are made on first use, which raises
-    FloatingPointError if w is not finite, and turn read-only once all are formed.
+    `_rows` is a C-order (k, n) array, k the blocks of column m-1, whose
+    first `_formed` rows are formed. `_magnitudes` holds `_row_magnitudes`
+    of the formed rows and `row_bounds` of the others. Both are made on
+    first use, which raises FloatingPointError if w is not finite.
     """
 
     def __init__(self, basis: StaircaseBasis, w: np.ndarray, t_factor: float):
         w.flags.writeable = False
         self._basis, self.w, self.t_factor = basis, w, t_factor
-        self.formed = 0
+        self._formed = 0
 
     @cached_property
-    def magnitudes(self) -> np.ndarray:
+    def _magnitudes(self) -> np.ndarray:
         if not np.all(np.isfinite(self.w)):
             raise FloatingPointError("exp(tH_p) overflows")
-        M = self._basis.row_bounds(self.w)
-        if np.iscomplexobj(self.w) or self._basis.dtype.kind == "c":
-            M *= math.sqrt(2.0)
-        return M
+        return self._basis.row_bounds(self.w)
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        return np.empty((len(self.magnitudes), self._basis.n),
+    def _rows(self) -> np.ndarray:
+        return np.empty((len(self._magnitudes), self._basis.n),
                         dtype=np.result_type(self._basis.dtype, self.w.dtype))
 
-    def form(self, k: int) -> "AtTime":
-        """Form at least the first k rows (all for k > len(rows)); returns self.
+    def evaluate(self, x) -> np.ndarray:
+        """`_power_sum` of the leading L rows, L the `_cut` at x. Rows are
+        formed until their magnitudes and the bounds on the rows not formed
+        settle L, so L and the answer do not depend on which rows earlier
+        calls formed."""
+        while (L := _cut(self._magnitudes, self._formed, x)) is None:
+            guess = _cut(self._magnitudes, len(self._magnitudes), x)
+            self._form(max(guess, self._formed) + 1)
+        return _power_sum(self._rows[:L], x)
+
+    def first(self, k: int) -> np.ndarray:
+        """Read-only view of the first k rows, shape (k, n)."""
+        self._form(k)
+        rows = self._rows[:k]
+        rows.flags.writeable = False
+        return rows
+
+    def _form(self, k: int) -> None:
+        """Form at least the first k rows (all for k > len(_rows)).
 
         Rows are formed whole basis slabs at a time, with the products of
         the full pass, so rows formed in pieces are those of one pass bit
         for bit; rows past the last slab formed are not written.
         """
-        if min(k, len(self.rows)) > self.formed:
-            n, flat = self._basis.n, self.rows.reshape(-1)
+        if min(k, len(self._rows)) > self._formed:
+            n, flat = self._basis.n, self._rows.reshape(-1)
             # both ends on slab boundaries, as `_blocks` needs: the formed
             # rows end at the first boundary past them (or at the end)
-            start, stop = (min(-(-r * n // SLAB) * SLAB, flat.size) for r in (self.formed, k))
+            start, stop = (min(-(-r * n // SLAB) * SLAB, flat.size) for r in (self._formed, k))
             # written before the products read it: np.zeros' pages would fault
             # on the read (zero page) and again on the first write (copy)
             flat[start:stop].fill(0)
             self._basis.accumulate(flat, self.w, start, stop)
-            done, self.formed = self.formed, stop // n
-            self.magnitudes[done:self.formed] = _row_magnitudes(self.rows[done:self.formed])
-            if self.formed == len(self.rows):
-                self.rows.flags.writeable = self.magnitudes.flags.writeable = False
-        return self
+            done, self._formed = self._formed, stop // n
+            self._magnitudes[done:self._formed] = _row_magnitudes(self._rows[done:self._formed])
 
 
 class InfiniteArnoldi:

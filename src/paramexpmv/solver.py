@@ -4,6 +4,7 @@
 One Arnoldi run yields a solution that keeps the whole basis; each later
 evaluation costs a small dense exponential per new t and one product over the
 leading cached coefficient rows (`evaluate`), never another large matvec.
+Rows and basis blocks stay in `arnoldi`, behind the queries of `KrylovDecomposition`.
 """
 
 from __future__ import annotations
@@ -75,8 +76,6 @@ class ErrorReport:
 
 
 def _exp_or_inf(logval: float) -> float:
-    if logval == -math.inf:
-        return 0.0
     try:
         return math.exp(logval)
     except OverflowError:
@@ -193,8 +192,7 @@ class ParameterizedSolution:
         if not 1 <= k <= self.k_max:
             raise ValueError(f"k must be in [1, {self.k_max}], got {k}")
         with _raise_on_overflow(t):
-            C = self._at(t).form(k).rows[:k]
-            C.flags.writeable = False
+            C = self._at(t).first(k)
             if self.gamma != 1.0:
                 # m finite factors: gamma**l alone overflows where scaled rows underflow
                 m = max(1, math.ceil((k - 1) * abs(math.log10(self.gamma)) / 300))
@@ -211,22 +209,14 @@ class ParameterizedSolution:
         the fewest leading rows whose left-out terms sum to at most
         u sum_l |x|^l m_l (u the float64 unit roundoff), a bound on the
         rounding error of the full sum; so in exact arithmetic the answer is
-        within that of the sum of all k_max terms. Rows are formed on
-        demand, until their m_l and the bounds M_l >= m_l of the rows not
-        formed settle L (`_cut`), so L and the answer do not depend on which
-        rows earlier calls formed. Costs one matrix-vector product
-        over the (L, n) leading rows, plus a pass over the basis for the rows
-        not formed yet and, at a new t, one small exponential. Overflow
-        raises FloatingPointError.
+        within that of the sum of all k_max terms. `AtTime.evaluate` makes
+        the cut. Costs one matrix-vector product over the (L, n) leading rows,
+        plus a pass over the basis for the rows not formed yet and, at a new
+        t, one small exponential. Overflow raises FloatingPointError.
         """
         eps = _check_eps(eps)
         with _raise_on_overflow(t, eps):
-            x = self.gamma * eps
-            R = self._at(t)
-            while (L := _cut(R.magnitudes, R.formed, x)) is None:
-                guess = _cut(R.magnitudes, self.k_max, x)
-                R.form(max(guess, R.formed) + 1)
-            return _power_sum(R.rows[:L], x)
+            return self._at(t).evaluate(self.gamma * eps)
 
     def apriori(self, t: float, eps) -> tuple[float, float, float]:
         """(krylov, truncation, total) a priori bounds at this p."""
@@ -246,30 +236,22 @@ class ParameterizedSolution:
         The Arnoldi error of the parameter-free problem expands as
         beta h_{p+1,p} sum_{j>=1} t^j (e_p^T phi_j(tH_p) e_1) L^{j-1} q_{p+1}
         (Saad, SINUM 1992). The estimate keeps the leading term: the t-factor
-        of `at(t)` times the eps-factor ||sum_l (gamma eps)^l q_{p+1,l}||,
-        which contracts all 1+Np blocks of q_{p+1} with the kernel of `evaluate`.
-        The blocks past k_max are the leading part of the series tail, so
-        truncation is covered too. Each distinct eps is contracted once per
-        call, keyed with its type: a real and a complex eps of equal value take
-        different kernel paths, which may differ in the last bit. An estimate
-        beyond the float range reads +inf, never NaN. Zero on lucky breakdown
-        (the decomposition is then exact).
+        of `at(t)` times the eps-factor ||sum_l x^l q_{p+1,l}|| at x = gamma eps,
+        over all 1+Np blocks of q_{p+1} (`eps_factor`). The blocks past k_max
+        are the leading part of the series tail, so truncation is covered too.
+        Each distinct eps is contracted once per call, keyed with its type: a
+        real and a complex eps of equal value take different kernel paths,
+        which may differ in the last bit. An estimate beyond the float range
+        reads +inf, never NaN. Zero on lucky breakdown, where both factors
+        are (the decomposition is then exact).
         """
-        q = self.decomposition.residual_blocks
-        if q is None:
-            return [0.0] * len(targets)
         # one record fetch per distinct t: past MAX_CACHED_TIMES, _at recomputes
         t_part = {t: self._at(t).t_factor for t in dict.fromkeys(t for t, _ in targets)}
-        eps_part, estimates = {}, []
-        for t, eps in targets:
-            key = (type(eps), eps)
-            if key not in eps_part:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    eps_part[key] = float(np.linalg.norm(_power_sum(q, self.gamma * eps)))
-            # NaN from an overflowed contraction, or 0 * inf, reads +inf
-            est = t_part[t] * eps_part[key]
-            estimates.append(math.inf if math.isnan(est) else est)
-        return estimates
+        eps_part = {key: self.decomposition.eps_factor(self.gamma * key[1])
+                    for key in dict.fromkeys((type(eps), eps) for _, eps in targets)}
+        # NaN from an overflowed contraction, or 0 * inf, reads +inf
+        estimates = [t_part[t] * eps_part[type(eps), eps] for t, eps in targets]
+        return [math.inf if math.isnan(est) else est for est in estimates]
 
     def error_report(self, t: float, eps) -> ErrorReport:
         """Full error report at (t, eps): a priori bounds plus the estimate.
@@ -333,93 +315,6 @@ class _raise_on_overflow:
         if isinstance(exc, FloatingPointError):
             at = f"t={self.t}" if self.eps is None else f"t={self.t}, eps={self.eps}"
             raise FloatingPointError(f"{exc} at {at}") from None
-
-
-def _cut(magnitudes: np.ndarray, formed: int, x) -> int | None:
-    """Fewest leading rows L >= 1 with sum_{l>=L} |x|^l m_l <= u sum_l |x|^l m_l,
-    for u = 2^-53, the float64 unit roundoff, from the magnitudes m of the
-    first `formed` rows and upper bounds on the others (both in
-    `magnitudes`); None while these do not settle L.
-
-    The terms are compared in log space, so every finite x is covered. The
-    left-out terms at L sum to between s_L, the formed ones, and s_L + b, b
-    the bounded rest. L is settled when it surely meets the floor and L - 1
-    surely does not, by a relative margin of 2^-20 that covers the rounding
-    of the bounds; with every row formed the margin is 0 and L is always
-    settled. The s_L come from one cumulative sum over the formed terms in
-    reverse; as every term is >= 0, s_L + b does not increase with L, so one
-    binary search finds the first L that meets the floor. x = 0 and
-    all-zero magnitudes give 1 (once a row is formed); a non-finite
-    magnitude (or x) gives all rows once all are formed, so an overflow is
-    met as it would be in the full sum.
-    """
-    k, ax = len(magnitudes), abs(x)
-    if formed == 0:
-        return None
-    if ax == 0.0:
-        return 1
-    if not math.isfinite(ax):
-        return k if formed == k else None
-    # l log|x| + log m_l, then the terms over the largest, in place
-    logs = np.arange(k, dtype=np.float64)
-    logs *= math.log(ax)
-    with np.errstate(divide="ignore"):
-        logs += np.log(magnitudes)
-    top = np.maximum.reduce(logs)
-    if not math.isfinite(top):
-        return 1 if top == -math.inf else k if formed == k else None
-    logs -= top
-    terms = np.exp(logs, out=logs)
-    margin = 0.0 if formed == k else 2.0 ** -20
-    # c[j] = s_{formed-1-j}; s_formed = 0
-    c = np.add.accumulate(terms[formed - 1::-1])
-    b = float(np.add.reduce(terms[formed:])) * (1 + margin) if margin else 0.0
-    floor = 2.0 ** -53 * c[-1] * (1 - margin)
-    # c + b does not decrease, so its first J entries are those <= floor:
-    # L = formed - J meets the floor and L - 1 does not
-    J = int((c + b if b else c).searchsorted(floor, side="right"))
-    if J == 0 and not b <= floor:
-        return None
-    L = formed - J
-    if L > 1 and not c[J] > 2.0 ** -53 * (c[-1] + b) * (1 + margin):
-        return None
-    return L
-
-
-def _power_sum(C: np.ndarray, x) -> np.ndarray:
-    """sum_l x^l C[l] over the rows of C: one BLAS product per block of rows.
-
-    Blocks hold b rows, with |x|^b finite (b = len(C) when |x| <= 1); Horner's
-    rule in x^b joins the block sums. When one block holds every row, as
-    whenever |x|^len(C) <= 1e300, its product is the answer. For real C and
-    complex x the powers enter as a real (b, 2) matrix [Re, Im], so C is
-    never cast to complex.
-    """
-    k = len(C)
-    ax = abs(x)
-    # |x|^b <= 1e300
-    b = k if ax <= 1.0 else max(1, min(k, math.floor(300 / math.log10(ax))))
-    complex_x = isinstance(x, (complex, np.complexfloating))
-    # x^0 .. x^b in double precision: b is chosen for the float64 range
-    powers = np.empty(b + 1, dtype=np.complex128 if complex_x else np.float64)
-    powers[0] = 1.0
-    powers[1:] = x
-    np.multiply.accumulate(powers, out=powers)
-    # real C, complex x: (b+1, 2) C-ordered [Re, Im] rows, a view of the powers
-    V = powers.view(np.float64).reshape(-1, 2) if complex_x and C.dtype.kind != "c" else powers
-
-    def product(block):
-        s = block.T @ V[:len(block)]
-        # (n, 2) C-ordered rows [Re, Im] read in place as complex
-        return s.view(np.complex128)[:, 0] if s.ndim == 2 else s
-
-    if b == k:
-        return product(C)
-    u = None
-    for start in range((k - 1) // b * b, -1, -b):
-        s = product(C[start:start + b])
-        u = s if u is None else s + powers[b] * u
-    return u
 
 
 def _prepare(P: MatrixPolynomial, gamma: float | None):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -117,7 +119,8 @@ def test_lucky_breakdown_scalar_nilpotent():
 @pytest.mark.parametrize("N", [0, 1, 2, 3])
 def test_decomposition_interface_shapes(N, complex_data):
     # what a solution reads of a decomposition: w(t) and the t-factor, the
-    # k_max coefficient rows, the 1+Np residual blocks and k_max itself
+    # k_max coefficient rows, the eps-factor of the 1+Np residual blocks and
+    # k_max itself
     rng = np.random.default_rng(50 + N)
     n = 5
     mats = [0.5 * rng.standard_normal((n, n)) for _ in range(N + 1)]
@@ -137,17 +140,19 @@ def test_decomposition_interface_shapes(N, complex_data):
         R = d.at(0.5)
         w, t_factor = R.w, R.t_factor
         assert w.shape == (d.p,) and not w.flags.writeable
-        assert R.magnitudes.shape == (d.k_max,) and R.formed == 0
-        rows = R.form(d.k_max).rows
-        assert rows.shape == (d.k_max, n) and R.formed == d.k_max
+        assert R._magnitudes.shape == (d.k_max,) and R._formed == 0
+        rows = R.first(d.k_max)
+        assert rows.shape == (d.k_max, n) and R._formed == d.k_max
         np.testing.assert_allclose(rows.ravel(), d.Q[:rows.size, :d.p] @ w, rtol=0, atol=1e-12)
-        assert not rows.flags.writeable and not R.magnitudes.flags.writeable
-        blocks = d.residual_blocks
-        if d.breakdown:
-            assert blocks is None and t_factor == 0.0
-        else:
-            assert blocks.shape == (1 + N * d.p, n) and not blocks.flags.writeable
-            np.testing.assert_array_equal(blocks.ravel(), d.residual_vector)
+        assert not rows.flags.writeable
+        for x in (0.0, 0.3, -1.7, 0.4 - 0.9j, 25.0):
+            if d.breakdown:
+                assert d.eps_factor(x) == 0.0 and t_factor == 0.0
+                continue
+            # the norm of a dense contraction of q_{p+1}'s 1+Np blocks
+            q = d.residual_vector.reshape(1 + N * d.p, n)
+            dense = np.linalg.norm(q.T @ np.asarray(x) ** np.arange(len(q)))
+            assert math.isclose(d.eps_factor(x), dense, rel_tol=1e-12)
             assert t_factor > 0.0
 
 
@@ -230,7 +235,7 @@ def test_arnoldi_relation_across_chunks(n, N, p, complex_coeffs, seed):
     np.testing.assert_allclose(d.H, ref.H, rtol=0, atol=1e-12)
     np.testing.assert_allclose(Qfull, ref.Q, rtol=0, atol=1e-12)
     w = rng.standard_normal(d.p)
-    c = AtTime(d.staircase, w, 0.0).form(d.k_max).rows.ravel()
+    c = AtTime(d.staircase, w, 0.0).first(d.k_max).ravel()
     np.testing.assert_allclose(c, Q[:c.size, :d.p] @ w, rtol=0, atol=1e-12)
 
 
@@ -371,8 +376,8 @@ def test_row_bounds_dominate_the_rows(n, N, complex_coeffs, complex_w, p, keep, 
         if complex_w:
             w = w + 1j * rng.standard_normal(d.p)
         R = AtTime(d.staircase, w, 0.0)
-        M = R.magnitudes.copy()
-        rows = R.form(d.k_max).rows
+        M = R._magnitudes.copy()
+        rows = R.first(d.k_max)
         assert M.shape == (d.k_max,) and np.all(np.isfinite(M))
         slack = 1 + 1e-12
         assert np.all(np.abs(rows).max(axis=1) <= M * slack)
@@ -390,7 +395,7 @@ def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
     n = 11
     d = run_arnoldi(random_poly(rng, n, N), rng.standard_normal(n), 2 * CHUNK + 3)
     w = d.at(0.4).w
-    ref = AtTime(d.staircase, w, 0.0).form(d.k_max).rows
+    ref = AtTime(d.staircase, w, 0.0).first(d.k_max)
     written = []
     blocks = StaircaseBasis._blocks
 
@@ -402,13 +407,14 @@ def test_rows_formed_in_pieces_equal_one_pass(N, slab, monkeypatch):
     monkeypatch.setattr(StaircaseBasis, "_blocks", logged)
     for ks in ([d.k_max], [1, 2, 3, d.k_max], [5, 4, 9, d.k_max - 1, d.k_max]):
         R = AtTime(d.staircase, w, 0.0)
-        out = R.rows
+        out = R._rows
         out[:] = np.nan
         formed = 0
         written.clear()
         for k in ks:
             k = min(k, d.k_max)
-            new = R.form(k).formed
+            R._form(k)
+            new = R._formed
             assert new >= max(formed, k) and (slab % n or new == max(formed, k))
             formed = new
             np.testing.assert_array_equal(out[:formed], ref[:formed])
@@ -481,7 +487,7 @@ def test_only_project_reads_the_projection_lengths():
     floor = 1e-13 * (np.abs(Q) @ np.abs(w))
     y = np.zeros_like(ref)
     basis.accumulate(y, w)
-    rows = AtTime(basis, w, 0.0).form(d.k_max).rows.ravel()
+    rows = AtTime(basis, w, 0.0).first(d.k_max).ravel()
     for got in (y, rows):
         assert np.all(np.abs(got - ref) <= floor)
     # the update of the Arnoldi sweep is the same accumulate over two rows

@@ -54,8 +54,8 @@ def test_solve_fixed_p_batches_the_estimates(monkeypatch, capsys):
             return real(*a)
         return wrapper
 
-    monkeypatch.setattr(paramexpmv.solver, "_power_sum",
-                        counted("power_sum", paramexpmv.solver._power_sum))
+    monkeypatch.setattr(paramexpmv.arnoldi, "_power_sum",
+                        counted("power_sum", paramexpmv.arnoldi._power_sum))
     monkeypatch.setattr(paramexpmv.arnoldi.KrylovDecomposition, "at",
                         counted("at", paramexpmv.arnoldi.KrylovDecomposition.at))
     assert main(args) == 0

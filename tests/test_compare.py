@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,36 @@ def test_wide_spread_is_unresolved_unless_every_run_is_better():
     assert compare.verdict(wide, wide[::-1], "lower", 0.25)["status"] == "unresolved"
     # every change run below every parent run reads as no regression
     assert compare.verdict(wide, [x / 4 for x in wide], "lower", 0.25)["status"] == "unchanged"
+
+
+def test_without_workload_every_workload_runs_in_turn(tmp_path, monkeypatch, capsys):
+    # a stubbed benchmark: the change doubles total_s on "slow" only
+    spec = {"command": ["bench"], "run_seconds": 1,
+            "workloads": [{"name": "fast"}, {"name": "slow"}],
+            "end_to_end": [{"name": "total_s", "better": "lower", "bound": 0.25}]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run(checkout, command, args, cpu):
+        workload = args[args.index("--workload") + 1]
+        calls.append(workload)
+        value = 2.0 if (checkout.name, workload) == ("change", "slow") else 1.0
+        return {"metrics": {"total_s": {"value": value}}, "correct": True,
+                "failed": 0, "attempted": 10}
+
+    monkeypatch.setattr(compare, "run", run)
+    sides = [str(tmp_path / "parent"), str(tmp_path / "change")]
+    assert compare.main(sides + ["--pairs", "3"]) == 1
+    assert calls == ["fast"] * 6 + ["slow"] * 6
+    out = capsys.readouterr().out
+    fast, slow = out.split("workload fast\n")[1].split("workload slow\n")
+    verdicts = [line.split(" (worse by")[0].split()[-1]
+                for table in (fast, slow) for line in table.splitlines()
+                if line.startswith("total_s")]
+    assert verdicts == ["unchanged", "worse"]
+    # one workload alone: only its pairs, and its verdict decides
+    calls.clear()
+    assert compare.main(sides + ["--pairs", "3", "--workload", "fast"]) == 0
+    assert calls == ["fast"] * 6

@@ -13,7 +13,7 @@ import paramexpmv.arnoldi
 import paramexpmv.linalg
 import paramexpmv.matfun
 import paramexpmv.toeplitz
-from paramexpmv import solver
+from paramexpmv import arnoldi, solver
 from paramexpmv.cli import main
 from paramexpmv.problems import gen_advdiff1, gen_advdiff2, generate
 from paramexpmv.reference import dense_coefficients, dense_solution, textbook_arnoldi
@@ -151,8 +151,8 @@ def test_one_small_exponential_per_t(monkeypatch):
     expm = paramexpmv.matfun.expm
     monkeypatch.setattr(paramexpmv.matfun, "expm", lambda A: calls.append(A.shape) or expm(A))
     sums = []
-    power_sum = solver._power_sum
-    monkeypatch.setattr(solver, "_power_sum", lambda C, x: sums.append(x) or power_sum(C, x))
+    power_sum = arnoldi._power_sum
+    monkeypatch.setattr(arnoldi, "_power_sum", lambda C, x: sums.append(x) or power_sum(C, x))
     rng = np.random.default_rng(12)
     S = build(random_poly(rng, 4, 2, scale=0.4), rng.standard_normal(4), 12)
     for eps in np.linspace(0.0, 0.3, 10):
@@ -296,22 +296,27 @@ def test_cut_meets_the_floor_at_an_exact_tie():
     assert full_cut(m, 1.0) == 2
 
 
+def every_row(S, t):
+    """The k_max coefficient rows of S at t, all formed, and their magnitudes."""
+    R = S._at(t)
+    return R.first(S.k_max), R._magnitudes
+
+
 @pytest.mark.parametrize("complex_rows", [False, True])
 @pytest.mark.parametrize("x", HORNER_X)
 def test_evaluate_matches_horner(complex_rows, x):
     S = horner_problem("complex" if complex_rows else "advdiff1")
     t = 0.6
-    rows = S._at(t).form(S.k_max).rows
+    rows, m = every_row(S, t)
     assert np.iscomplexobj(rows) == complex_rows
     eps = x / S.gamma
     for k in (1, S.k_max // 2, S.k_max):
         ref = horner(rows[:k], S.gamma * eps)
-        u = solver._power_sum(rows[:k], S.gamma * eps)
+        u = arnoldi._power_sum(rows[:k], S.gamma * eps)
         assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
-    m = S._at(t).form(S.k_max).magnitudes
-    L = solver._cut(m, len(m), S.gamma * eps)
+    L = arnoldi._cut(m, len(m), S.gamma * eps)
     got = S.evaluate(t, eps)
-    np.testing.assert_array_equal(got, solver._power_sum(rows[:L], S.gamma * eps))
+    np.testing.assert_array_equal(got, arnoldi._power_sum(rows[:L], S.gamma * eps))
     assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
@@ -323,9 +328,8 @@ def assert_cut_within_floor(S, t, x):
     2u sum_l |x|^l m_l plus the rounding of the two sums: each is an inner
     product of k terms with powers from a running product, so within
     2k u sum_l |x|^l m_l (Higham 2002, section 3.1)."""
-    R = S._at(t).form(S.k_max)
-    rows, m = R.rows, R.magnitudes
-    full = solver._power_sum(rows, x)
+    rows, m = every_row(S, t)
+    full = arnoldi._power_sum(rows, x)
     with np.errstate(over="ignore"):
         floor = float(np.sum(abs(x) ** np.arange(S.k_max) * m))
     assert math.isfinite(floor)
@@ -348,8 +352,8 @@ def test_evaluate_drops_only_a_tail_below_the_rounding_floor(name):
     for t in (0.1, 0.6):
         for x in (1e-3, -0.3, 0.2 + 0.7j, 1.0, 7.0, -40.0 + 25.0j):
             assert_cut_within_floor(S, t, x)
-            m = S._at(t).form(S.k_max).magnitudes
-            L = solver._cut(m, len(m), x)
+            m = every_row(S, t)[1]
+            L = arnoldi._cut(m, len(m), x)
             tail, total = magnitude_tail(m, x, L)
             # the cut keeps the fewest rows whose left-out terms are below u times all
             assert tail <= U * total * (1 + 1e-12)
@@ -371,29 +375,29 @@ def test_evaluate_cut_within_floor_on_random_problems(n, N, complex_coeffs, p, t
     if complex_coeffs:
         mats = [A + 1j * rng.standard_normal((n, n)) for A in mats]
     S = build(MatrixPolynomial([0.5 * A for A in mats]), rng.standard_normal(n), p)
-    R = S._at(t).form(S.k_max)
+    rows, m = every_row(S, t)
     # m bounds each row's largest entry, and equals it for real rows
-    largest = np.max(np.abs(R.rows), axis=1)
-    assert np.all(largest <= R.magnitudes)
+    largest = np.max(np.abs(rows), axis=1)
+    assert np.all(largest <= m)
     if not complex_coeffs:
-        np.testing.assert_array_equal(largest, R.magnitudes)
+        np.testing.assert_array_equal(largest, m)
     assert_cut_within_floor(S, t, x)
 
 
 def test_evaluate_at_zero_eps_is_the_first_row():
     S = horner_problem("advdiff2")
     for t in (0.1, 0.6):
-        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._at(t).form(S.k_max).rows[0])
+        np.testing.assert_array_equal(S.evaluate(t, 0.0), S._at(t).first(S.k_max)[0])
 
 
 def test_evaluate_sums_fewer_than_all_rows(monkeypatch):
     S = build(*gen_advdiff1(200, 3e-4), 60)
     seen = []
-    power_sum = solver._power_sum
-    monkeypatch.setattr(solver, "_power_sum", lambda C, x: seen.append(len(C)) or power_sum(C, x))
+    power_sum = arnoldi._power_sum
+    monkeypatch.setattr(arnoldi, "_power_sum", lambda C, x: seen.append(len(C)) or power_sum(C, x))
     u = S.evaluate(0.5, 1e-3)
     assert len(seen) == 1 and 1 <= seen[0] < S.k_max
-    full = power_sum(S._at(0.5).form(S.k_max).rows, S.gamma * 1e-3)
+    full = power_sum(S._at(0.5).first(S.k_max), S.gamma * 1e-3)
     assert np.linalg.norm(u - full) <= 1e-15 * np.linalg.norm(full)
 
 
@@ -419,7 +423,7 @@ def _rows_needed(magnitudes, x):
 
 def full_cut(m, x):
     """`_cut` with every row formed, checked against the former `_rows_needed`."""
-    L = solver._cut(m, len(m), x)
+    L = arnoldi._cut(m, len(m), x)
     assert L == _rows_needed(m, x)
     return L
 
@@ -496,7 +500,7 @@ def test_power_sum_bit_identical_to_stacked_powers(x, complex_rows):
         C = C + 1j * rng.standard_normal((k, n))
     C *= (1.0 / abs(x)) ** np.arange(k)[:, None]
     ref = _power_sum_stacked(C, np.complex128(x) if np.iscomplexobj(x) else np.float64(x))
-    u = solver._power_sum(C, x)
+    u = arnoldi._power_sum(C, x)
     assert u.dtype == ref.dtype
     np.testing.assert_array_equal(u, ref)
 
@@ -545,14 +549,14 @@ def test_evaluate_finite_when_gamma_eps_power_overflows(t):
     assert S.gamma == 1e4 and S.k_max == 200
     u = S.evaluate(t, 0.01)
     assert np.all(np.isfinite(u))
-    ref = horner(S._at(t).form(S.k_max).rows, 100.0)
+    ref = horner(S._at(t).first(S.k_max), 100.0)
     assert np.linalg.norm(u - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_complex_eps_evaluate_does_not_copy_real_rows():
     P, u0 = gen_advdiff1(500, 1e-3)
     S = build(P, u0, 30)
-    rows = S._at(0.5).form(S.k_max).rows
+    rows = S._at(0.5).first(S.k_max)
     assert rows.dtype == np.float64
     tracemalloc.start()
     try:
@@ -710,6 +714,8 @@ def test_apriori_bounds_finite_or_inf_beyond_unit_eps():
     # ae^(2k) overflows a float for |eps| > 1; the bounds must say +inf, not raise
     kry, _, _ = apriori_bounds(BoundInputs(1, 0.5, 0, 1), 0.5, 10.0, 160, 1, 1.0)
     assert 0.0 < kry < math.inf
+    # the log-space terms: exp(-inf) is 0, a logarithm past the float range +inf
+    assert solver._exp_or_inf(-math.inf) == 0.0 and solver._exp_or_inf(800.0) == math.inf
     P, u0 = gen_advdiff1(30, 1e-3)
     with np.errstate(over="ignore"):
         rep = build(P, u0, 160).error_report(0.5, 10.0)
@@ -819,7 +825,7 @@ def test_overflowing_gamma_scaling_raises():
     P = MatrixPolynomial([np.zeros((1, 1)), np.full((1, 1), 1e4)])
     S = build(P, np.ones(1), 60)
     assert S.gamma == 1e4
-    assert np.all(np.isfinite(S._at(1e4).form(S.k_max).rows))
+    assert np.all(np.isfinite(S._at(1e4).first(S.k_max)))
     assert np.all(np.isfinite(S.coefficients(1e4, 46)))
     with pytest.raises(FloatingPointError, match="t=10000"):
         S.coefficients(1e4)
@@ -1025,7 +1031,7 @@ def test_adaptive_check_work(monkeypatch):
 
     counting(paramexpmv.matfun, "expm")
     counting(solver, "apriori_bounds")
-    counting(solver, "_power_sum")
+    counting(arnoldi, "_power_sum")
     counting(paramexpmv.arnoldi.StaircaseBasis, "row_bounds")
     rng = np.random.default_rng(15)
     P = random_poly(rng, 5, 2, scale=0.4)
@@ -1125,9 +1131,9 @@ def test_fresh_evaluate_forms_only_the_rows_it_needs():
     # first of the 10 basis slabs, and the answer is that of all rows formed
     S = build(*gen_advdiff1(400, 3e-4), 200)
     u = S.evaluate(0.5, 1e-3)
-    assert 1 <= S._at_time[0.5].formed < S.k_max // 4
+    assert 1 <= S._at_time[0.5]._formed < S.k_max // 4
     full = S.with_p(S.p)
-    full._at(0.5).form(full.k_max)
+    full._at(0.5).first(full.k_max)
     np.testing.assert_array_equal(full.evaluate(0.5, 1e-3), u)
 
 
@@ -1136,7 +1142,7 @@ def test_partly_formed_rows_are_handed_out_read_only(monkeypatch):
     S = build(P, u0, 10, gamma=1.0)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
     C = S.coefficients(0.5, 2)
-    assert S._at_time[0.5].formed == 2
+    assert S._at_time[0.5]._formed == 2
     with pytest.raises(ValueError):
         C[:] = 0.0
     before = S.evaluate(0.5, 1e-2)
@@ -1151,7 +1157,7 @@ def test_coefficients_form_exactly_k_rows(k, monkeypatch):
     S = build(*gen_advdiff2(30, 3e-4, 2e2), 12)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", S.n)
     C = S.coefficients(0.5, k)
-    assert S._at_time[0.5].formed == k and C.shape == (k, S.n)
+    assert S._at_time[0.5]._formed == k and C.shape == (k, S.n)
     np.testing.assert_array_equal(C, S.with_p(S.p).coefficients(0.5)[:k])
 
 
@@ -1175,7 +1181,7 @@ def test_answers_do_not_depend_on_call_order(slab, monkeypatch):
     queries = query_list(S)
     rows_first = S.with_p(S.p)
     for t in (0.2, 0.6):
-        rows_first._at(t).form(rows_first.k_max)
+        rows_first._at(t).first(rows_first.k_max)
     ref = answers(rows_first, queries)
     rng = np.random.default_rng(slab)
     for _ in range(3):
@@ -1185,15 +1191,62 @@ def test_answers_do_not_depend_on_call_order(slab, monkeypatch):
             np.testing.assert_array_equal(got[q], ref[q])
 
 
+class Narrow:
+    """`target` seen through the named attributes only, plus `overrides`;
+    reading any other attribute raises AttributeError."""
+
+    def __init__(self, target, names, **overrides):
+        self._target, self._names, self._overrides = target, frozenset(names), overrides
+
+    def __getattr__(self, name):
+        if name in self._overrides:
+            return self._overrides[name]
+        if name not in self._names:
+            raise AttributeError(f"{type(self._target).__name__}.{name} is not in the interface")
+        return getattr(self._target, name)
+
+
+def narrow(d):
+    """Decomposition d through only the queries a solution may make of it,
+    and its per-t records through only those a solution may make of them."""
+    return Narrow(d, {"p", "beta", "k_max", "eps_factor"},
+                  at=lambda t: Narrow(d.at(t), {"t_factor", "evaluate", "first"}),
+                  truncate=lambda p: narrow(d.truncate(p)))
+
+
+@pytest.mark.parametrize("N", [1, 2])
+def test_solution_reads_a_decomposition_only_through_its_queries(N):
+    P, u0 = gen_advdiff1(200, 3e-4) if N == 1 else gen_advdiff2(40, 3e-4, 2e2)
+    S = build(P, u0, 30)
+    d = narrow(S.decomposition)
+    with pytest.raises(AttributeError):
+        d.H
+    with pytest.raises(AttributeError):
+        d.at(0.2).w
+    proxied = ParameterizedSolution(d, S.poly, S.scaled_poly, S.gamma, S.bounds)
+    # the solution itself, then fresh ones from with_p at full and lower p
+    for view in (lambda T: T, lambda T: T.with_p(T.p), lambda T: T.with_p(12)):
+        got, ref = view(proxied), view(S)
+        queries = query_list(ref) + [("error_report", t, eps) for t in (0.2, 0.6)
+                                     for eps in (0.0, 1e-3, 2e-3 - 1e-3j, 0.4)]
+        got, ref = answers(got, queries), answers(ref, queries)
+        for q in queries:
+            if q[0] == "error_report":
+                assert got[q] == ref[q]
+            else:
+                assert got[q].dtype == ref[q].dtype
+                np.testing.assert_array_equal(got[q], ref[q])
+
+
 def test_each_row_is_formed_once_per_t(monkeypatch):
     S = build(*gen_advdiff2(300, 3e-4, 2e2), 30)
     monkeypatch.setattr(paramexpmv.arnoldi, "SLAB", 64)
     formed = []
-    form = paramexpmv.arnoldi.AtTime.form
+    form = paramexpmv.arnoldi.AtTime._form
 
     def logged(self, k):
-        if self.formed < k:
-            formed.append((self.formed, k))
+        if self._formed < k:
+            formed.append((self._formed, k))
         return form(self, k)
 
     read = []
@@ -1203,7 +1256,7 @@ def test_each_row_is_formed_once_per_t(monkeypatch):
         read.extend((c, r) for c, r, _ in self._blocks(w.shape[-1], start, stop))
         accumulate(self, y, w, start, stop)
 
-    monkeypatch.setattr(paramexpmv.arnoldi.AtTime, "form", logged)
+    monkeypatch.setattr(paramexpmv.arnoldi.AtTime, "_form", logged)
     monkeypatch.setattr(paramexpmv.arnoldi.StaircaseBasis, "accumulate", counted)
     for q in query_list(S) + [("coefficients", 0.2, None), ("coefficients", 0.6, None)]:
         getattr(S, q[0])(*q[1:])
@@ -1239,9 +1292,9 @@ def test_cut_from_leading_rows_is_the_cut_of_all_rows(m, over, x):
     want = _rows_needed(m, x)
     for F in range(len(m) + 1):
         mixed = np.concatenate([m[:F], bounds[F:]])
-        got = solver._cut(mixed, F, x)
+        got = arnoldi._cut(mixed, F, x)
         assert got in (None, want)
-    assert solver._cut(m, len(m), x) == want
+    assert arnoldi._cut(m, len(m), x) == want
 
 
 def test_cut_defers_while_the_bounds_leave_it_open():
@@ -1250,9 +1303,9 @@ def test_cut_defers_while_the_bounds_leave_it_open():
     # could put the cut at 2, so two formed rows settle nothing
     m = np.array([1.0, 0.5 * U, 0.1 * U])
     assert full_cut(m, 1.0) == 1
-    assert solver._cut(np.array([1.0, 0.5 * U, 0.6 * U]), 2, 1.0) is None
-    assert solver._cut(np.array([1.0, 0.5 * U, 0.2 * U]), 2, 1.0) == 1
-    assert solver._cut(m, 3, 1.0) == 1
+    assert arnoldi._cut(np.array([1.0, 0.5 * U, 0.6 * U]), 2, 1.0) is None
+    assert arnoldi._cut(np.array([1.0, 0.5 * U, 0.2 * U]), 2, 1.0) == 1
+    assert arnoldi._cut(m, 3, 1.0) == 1
     # a non-finite bound, or none formed, settles nothing; x = 0 needs row 0
-    assert solver._cut(np.array([1.0, math.inf]), 1, 1e-3) is None
-    assert solver._cut(m, 0, 0.0) is None and solver._cut(m, 1, 0.0) == 1
+    assert arnoldi._cut(np.array([1.0, math.inf]), 1, 1e-3) is None
+    assert arnoldi._cut(m, 0, 0.0) is None and arnoldi._cut(m, 1, 0.0) == 1

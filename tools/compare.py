@@ -1,10 +1,13 @@
 """Compare the benchmark of two checkouts in alternating pairs of runs.
 
     python3 tools/compare.py PARENT CHANGE --pairs 10 --workload advdiff2-adaptive --first-seed 11
+    python3 tools/compare.py PARENT CHANGE --pairs 10
 
 PARENT and CHANGE are checkout directories (made with ``git archive`` or
 ``git clone``), each with its own ``BENCHMARK.json`` and ``benchmarks/``;
-the two ``BENCHMARK.json`` must be equal. Pair i runs the benchmark command
+the two ``BENCHMARK.json`` must be equal. Without ``--workload`` every
+workload of ``BENCHMARK.json`` is compared in turn, each with its own pairs
+and table. For a workload, pair i runs the benchmark command
 of ``BENCHMARK.json`` in both, with ``--seed first_seed + i``, ``--seconds
 run_seconds`` and ``--trace 0``; even pairs run PARENT first, odd pairs
 CHANGE first. Both runs of a pair are pinned to one CPU of this process's
@@ -17,8 +20,9 @@ wins at least 9 in 10 pairs and the medians differ by more than the
 parent's quartile spread; ``worse`` when the change's median is worse than
 the parent's by more than the metric's bound; ``unresolved`` when either
 side's quartile spread exceeds the bound and the change does not read better
-on every pair; ``unchanged`` otherwise. Exits 1 if a metric is worse, a run
-is not correct, or the change fails a larger share of operations; else 0.
+on every pair; ``unchanged`` otherwise. Exits 1 if, on any workload, a
+metric is worse, a run is not correct, or the change fails a larger share of
+operations; else 0.
 """
 
 from __future__ import annotations
@@ -83,27 +87,17 @@ def run(checkout: Path, command: list[str], args: list[str], cpu: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("parent", type=Path)
-    ap.add_argument("change", type=Path)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--first-seed", type=int, default=1)
-    args = ap.parse_args(argv)
-
-    specs = [json.loads((d / "BENCHMARK.json").read_text()) for d in (args.parent, args.change)]
-    if specs[0] != specs[1]:
-        raise SystemExit("the two checkouts declare different benchmarks")
-    spec = specs[0]
+def compare(spec: dict, sides: dict, workload: str, pairs: int, first_seed: int) -> bool:
+    """Runs ``pairs`` alternating pairs of ``workload`` and prints its table;
+    True if a metric reads worse, a run is not correct, or the change fails a
+    larger share of operations."""
     cpus = sorted(os.sched_getaffinity(0))
-    sides = {"parent": args.parent, "change": args.change}
     results = {"parent": [], "change": []}
     names = [m["name"] for m in spec["end_to_end"]]
-    for i in range(args.pairs):
-        seed, cpu = args.first_seed + i, cpus[i % len(cpus)]
+    for i in range(pairs):
+        seed, cpu = first_seed + i, cpus[i % len(cpus)]
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        bench_args = ["--workload", args.workload, "--seed", str(seed),
+        bench_args = ["--workload", workload, "--seed", str(seed),
                       "--seconds", str(spec["run_seconds"]), "--trace", "0"]
         for side in order:
             r = run(sides[side], spec["command"], bench_args, cpu)
@@ -130,6 +124,28 @@ def main(argv=None) -> int:
               f"{v['wins']:>5} {v['losses']:>6}  {v['status']} "
               f"(worse by {v['worse_by']:+.3f}, bound {v['bound']})")
         failed |= v["status"] == "worse"
+    return failed
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--workload", help="one workload (default: every workload in turn)")
+    ap.add_argument("--first-seed", type=int, default=1)
+    args = ap.parse_args(argv)
+
+    specs = [json.loads((d / "BENCHMARK.json").read_text()) for d in (args.parent, args.change)]
+    if specs[0] != specs[1]:
+        raise SystemExit("the two checkouts declare different benchmarks")
+    spec = specs[0]
+    sides = {"parent": args.parent, "change": args.change}
+    workloads = [args.workload] if args.workload else [w["name"] for w in spec["workloads"]]
+    failed = False
+    for workload in workloads:
+        print(f"workload {workload}", flush=True)
+        failed |= compare(spec, sides, workload, args.pairs, args.first_seed)
     return 1 if failed else 0
 
 
